@@ -2,17 +2,14 @@
 
 Both scans lean on the same memoization: an attractor-index table that
 covers every one-step image of the interval, so classifying a value is
-a table read, or one step plus a table read. Density scans stream the
-interval in fixed-size blocks whose tallies merge by addition, which
-makes the result independent of block size and amenable to a thread
-pool (capped by the FACTHAPPY_THREADS environment variable).
+a table read, or one step plus a table read. A density scan is one
+serial pass: it reads the covered prefix of the interval straight from
+the table, then streams the step images of the rest through it.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,10 +19,9 @@ from .dynamics import (
     classify,
     happy_step_nat,
     step_image_bound,
-    _step_images_range,
+    _step_images,
 )
 
-DEFAULT_BLOCK_SIZE = 1 << 18
 DEFAULT_SEARCH_CAP = 10 ** 6
 
 
@@ -63,21 +59,6 @@ class DensityReport:
     upper: int
     counts: dict[Attractor, int]
     proportions: dict[Attractor, Fraction]
-
-
-def scan_threads() -> int:
-    """Thread budget for block scans, from FACTHAPPY_THREADS (default 1)."""
-    raw = os.environ.get("FACTHAPPY_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"FACTHAPPY_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _fixed_point_index(atlas: AttractorAtlas, p: int) -> int:
@@ -139,58 +120,27 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
                      complete=next_m > m_max)
 
 
-def _tally_block(e: int, lo: int, hi: int, table: list[int],
-                 nbuckets: int) -> list[int]:
-    """Attractor-index tallies for [lo, hi] against a read-only table."""
-    counts = [0] * nbuckets
-    covered = len(table) - 1
-    direct_hi = min(hi, covered)
-    for n in range(lo, direct_hi + 1):
-        counts[table[n]] += 1
-    if direct_hi < hi:
-        start = max(lo, covered + 1)
-        for s in _step_images_range(e, start, hi):
-            counts[table[s]] += 1
-    return counts
-
-
-def density(e: int, upper: int, atlas: AttractorAtlas, *,
-            block_size: int = DEFAULT_BLOCK_SIZE,
-            threads: int | None = None) -> DensityReport:
+def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     """Classify every n in [1, upper] and tally by attractor, exactly.
 
-    The table covers all one-step images of the interval, so values
-    beyond it need a single step before lookup. Blocks tally
-    independently and merge by addition; the report is identical for
-    any block size or thread count.
+    One serial pass: values the table covers are read directly, and
+    each value beyond it takes a single step, streamed by the factoradic
+    counter, before its lookup. Memory is the table, not the interval.
     """
     if upper < 1:
         raise ValueError(f"interval end must be positive, got {upper}")
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
-    if block_size < 1:
-        raise ValueError(f"block size must be positive, got {block_size}")
-    if threads is None:
-        threads = scan_threads()
     # Coverage up to the interval end makes every lookup direct; when
     # the interval outgrows the one-step image bound, covering that
     # bound is enough because larger values resolve through one step.
     table = atlas.extended_index_table(min(upper, step_image_bound(e, upper)))
-    nbuckets = len(atlas.attractors)
-    spans = [(lo, min(lo + block_size - 1, upper))
-             for lo in range(1, upper + 1, block_size)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(
-                lambda span: _tally_block(e, span[0], span[1], table, nbuckets),
-                spans))
-    else:
-        tallies = [_tally_block(e, lo, hi, table, nbuckets)
-                   for lo, hi in spans]
-    totals = [0] * nbuckets
-    for tally in tallies:
-        for idx, c in enumerate(tally):
-            totals[idx] += c
+    totals = [0] * len(atlas.attractors)
+    covered = min(upper, len(table) - 1)
+    for n in range(1, covered + 1):
+        totals[table[n]] += 1
+    for s in _step_images(e, covered + 1, upper):
+        totals[table[s]] += 1
     counts = {att: totals[idx] for idx, att in enumerate(atlas.attractors)}
     proportions = {att: Fraction(c, upper) for att, c in counts.items()}
     return DensityReport(e=e, upper=upper, counts=counts,

@@ -205,9 +205,8 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    threads = analysis.scan_threads()
     atlas = dynamics.enumerate_attractors(args.e)
-    report = analysis.density(args.e, args.upper, atlas, threads=threads)
+    report = analysis.density(args.e, args.upper, atlas)
     if args.format is not None:
         _emit(analysis.emit_report(report, args.format))
         return 0

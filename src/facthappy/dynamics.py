@@ -9,6 +9,7 @@ and cycles obtained by sweeping the interval below that bound.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import factorial
 
@@ -177,24 +178,23 @@ def step_image_bound(e: int, upper: int) -> int:
     return sum(i ** e for i in range(1, digit_count(upper) + 1))
 
 
-def _step_images_range(e: int, lo: int, hi: int) -> list[int]:
-    """[step(n) for n in lo..hi] via an incrementing factoradic counter.
+def _step_images(e: int, lo: int, hi: int) -> Iterator[int]:
+    """Yield step(n) for n in lo..hi via an incrementing factoradic counter.
 
     Bumping the counter touches O(1) digit positions amortized, so this
     is much cheaper than a division loop per value. Digits sit in a
     fixed-width list sized for hi; position idx holds the (idx+1)!-place
-    digit, bounded by idx + 1.
+    digit, bounded by idx + 1. Nothing is yielded when hi < lo.
     """
     if hi < lo:
-        return []
+        return
     width = digit_count(hi) + 1
     digits = list(to_factoradic(lo).digits)
     digits += [0] * (width - len(digits))
     powers = [a ** e for a in range(width + 1)]
     inc = [0] + [powers[a] - powers[a - 1] for a in range(1, width + 1)]
     psum = sum(powers[a] for a in digits)
-    out = [psum]
-    append = out.append
+    yield psum
     for _ in range(lo, hi):
         idx = 0
         while True:
@@ -206,8 +206,7 @@ def _step_images_range(e: int, lo: int, hi: int) -> list[int]:
             digits[idx] = 0
             psum -= powers[d]
             idx += 1
-        append(psum)
-    return out
+        yield psum
 
 
 class AttractorAtlas:
@@ -253,9 +252,9 @@ class AttractorAtlas:
         if upper <= self.memo_bound:
             return self._index
         table = list(self._index)
-        images = _step_images_range(self.e, self.memo_bound + 1, upper)
-        for s in images:
-            table.append(table[s])
+        append = table.append
+        for s in _step_images(self.e, self.memo_bound + 1, upper):
+            append(table[s])
         return table
 
 
@@ -279,7 +278,7 @@ def enumerate_attractors(e: int, bound: DescentBound | None = None) -> Attractor
             + ", ".join(bound.failed_checks))
     m = bound.bound
     memo_bound = max(m, step_image_bound(e, m))
-    img = _step_images_range(e, 0, memo_bound)
+    img = list(_step_images(e, 0, memo_bound))
     index = [-1] * (memo_bound + 1)
     steps = [0] * (memo_bound + 1)
     found: list[tuple[int, ...]] = []
@@ -311,17 +310,15 @@ def enumerate_attractors(e: int, bound: DescentBound | None = None) -> Attractor
             s += 1
             index[pv] = a
             steps[pv] = s
-    attractors = tuple(sorted(
-        (Attractor.cycle(members) for members in found),
-        key=lambda att: (not att.is_fixed_point, att.members[0]),
-    ))
-    remap = {}
-    for old, members in enumerate(found):
-        canon = Attractor.cycle(members)
-        remap[old] = attractors.index(canon)
+    canon = [Attractor.cycle(members) for members in found]
+    order = sorted(range(len(canon)), key=lambda a: (
+        not canon[a].is_fixed_point, canon[a].members[0]))
+    attractors = tuple(canon[a] for a in order)
+    remap = [0] * len(order)
+    for new, old in enumerate(order):
+        remap[old] = new
     for n in range(1, memo_bound + 1):
-        if index[n] >= 0:
-            index[n] = remap[index[n]]
+        index[n] = remap[index[n]]
     return AttractorAtlas(e, m, memo_bound, attractors, index, steps)
 
 

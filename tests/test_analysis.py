@@ -8,7 +8,6 @@ from facthappy.analysis import (
     density,
     emit_report,
     is_p_happy,
-    scan_threads,
     smallest_runs,
 )
 from facthappy.dynamics import happy_step_nat
@@ -105,24 +104,11 @@ def test_density_counts_match_direct_oracle(atlas):
         assert sum(report.counts.values()) == upper
 
 
-def test_density_partition_and_thread_invariance(atlas):
-    at = atlas(2)
-    upper = 10 ** 5
-    base = density(2, upper, at, block_size=upper)
-    for block_size in (1000, 7777, upper // 2):
-        other = density(2, upper, at, block_size=block_size)
-        assert other == base
-    threaded = density(2, upper, at, block_size=4096, threads=4)
-    assert threaded == base
-
-
 def test_density_validates(atlas):
     with pytest.raises(ValueError):
         density(2, 0, atlas(2))
     with pytest.raises(ValueError):
         density(3, 10, atlas(2))
-    with pytest.raises(ValueError):
-        density(2, 10, atlas(2), block_size=0)
 
 
 def test_emit_density_csv_golden(atlas):
@@ -182,16 +168,3 @@ def test_emit_report_rejects_unknown_format(atlas):
         emit_report(report, "xml")
     with pytest.raises(TypeError):
         emit_report("nonsense", "csv")
-
-
-def test_scan_threads_env(monkeypatch):
-    monkeypatch.delenv("FACTHAPPY_THREADS", raising=False)
-    assert scan_threads() == 1
-    monkeypatch.setenv("FACTHAPPY_THREADS", "4")
-    assert scan_threads() == 4
-    monkeypatch.setenv("FACTHAPPY_THREADS", "0")
-    with pytest.raises(ValueError):
-        scan_threads()
-    monkeypatch.setenv("FACTHAPPY_THREADS", "many")
-    with pytest.raises(ValueError):
-        scan_threads()

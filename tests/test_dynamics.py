@@ -16,7 +16,7 @@ from facthappy.dynamics import (
     iterate,
     smallest_j,
     step_image_bound,
-    _step_images_range,
+    _step_images,
 )
 from facthappy.factoradic import to_factoradic
 
@@ -63,13 +63,15 @@ def test_iterate_examples():
 
 def test_step_images_range_matches_direct():
     rng = random.Random(4)
+    nine = math.factorial(9)
+    ranges = [(lo, lo + 3000) for lo in
+              (rng.randrange(0, 10 ** 6) for _ in range(3))]
+    # hi < lo (empty), lo = 0, lo = hi, and a new top digit at 9!
+    ranges += [(10, 9), (0, 200), (777, 777), (nine - 5, nine + 5)]
     for e in (1, 2, 5):
-        lo = rng.randrange(0, 10 ** 6)
-        hi = lo + 3000
-        images = _step_images_range(e, lo, hi)
-        assert len(images) == hi - lo + 1
-        for k in range(0, hi - lo + 1, 97):
-            assert images[k] == happy_step_nat(lo + k, e)
+        for lo, hi in ranges:
+            images = list(_step_images(e, lo, hi))
+            assert images == [happy_step_nat(n, e) for n in range(lo, hi + 1)]
 
 
 @pytest.mark.parametrize("e, j", [(1, 2), (2, 3), (3, 4), (4, 6), (5, 7), (6, 8)])
