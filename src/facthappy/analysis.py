@@ -1,10 +1,12 @@
-"""Interval scans: smallest consecutive runs and attractor densities.
+"""Interval tallies: smallest consecutive runs and attractor densities.
 
-Both scans lean on the same memoization: an attractor-index table that
-covers every one-step image of the interval, so classifying a value is
-a table read, or one step plus a table read. A density scan is one
-serial pass: it reads the covered prefix of the interval straight from
-the table, then streams the step images of the rest through it.
+A run sweep reads an attractor-index table that covers every one-step
+image of the swept interval. A density tally never visits the values
+themselves: below any prefix of a factoradic expansion the lower digits
+range freely and independently, so the step value adds up position by
+position, and the tally over [1, upper] is a sum over the prefixes of
+upper of shifted per-position distributions. Each distinct step value
+is then classified once.
 """
 
 from __future__ import annotations
@@ -13,16 +15,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import (
-    Attractor,
-    AttractorAtlas,
-    classify,
-    happy_step_nat,
-    step_image_bound,
-    _step_images,
-)
+from .dynamics import Attractor, AttractorAtlas, classify, happy_step_nat
+from .factoradic import to_factoradic
 
 DEFAULT_SEARCH_CAP = 10 ** 6
+
+# Refuse a density call whose dictionary work could exceed this many
+# updates. It admits e = 5 up to 14! - 1 and e >= 6 up to 13! - 1; the
+# largest accepted calls take seconds and a few hundred MB at most.
+DENSITY_WORK_LIMIT = 15 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -120,27 +121,80 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
                      complete=next_m > m_max)
 
 
-def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
-    """Classify every n in [1, upper] and tally by attractor, exactly.
+def _density_work(e: int, width: int) -> int:
+    """Bound on the dictionary updates of a tally over width positions.
 
-    One serial pass: values the table covers are read directly, and
-    each value beyond it takes a single step, streamed by the factoradic
-    counter, before its lookup. Memory is the table, not the interval.
+    The sums over i - 1 free positions number at most one more than
+    their largest value and at most Catalan(i), the count of digit
+    multisets those positions admit; position i touches each of them
+    at most i + 2 times (i + 1 shifts of low, one of tally). Stops
+    early once over DENSITY_WORK_LIMIT.
+    """
+    work = 0
+    top = 0
+    catalan = 1
+    for i in range(1, width + 1):
+        work += (i + 2) * min(top + 1, catalan)
+        if work > DENSITY_WORK_LIMIT:
+            break
+        top += i ** e
+        catalan = catalan * 2 * (2 * i + 1) // (i + 2)
+    return work
+
+
+def _shift_into(dst: dict[int, int], src: dict[int, int], by: int) -> None:
+    get = dst.get
+    for s, c in src.items():
+        dst[s + by] = get(s + by, 0) + c
+
+
+def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
+    """Tally every n in [1, upper] by attractor, exactly, without a scan.
+
+    A digit DP over the factoradic digits of upper. low maps each step
+    sum of the positions below i, all digits free, to how many digit
+    strings give it; tally does the same for the n in [0, upper mod i!].
+    Position i, where upper has digit d, extends both: an n whose digit
+    there is some a < d has a free lower part, one whose digit is d
+    continues the old tally. Each distinct sum is then classified once:
+    a table read, or steps down to memo_bound first.
+
+    Cost follows the number of distinct step sums, not upper: a few
+    dictionary updates per sum and position, milliseconds at 10! - 1.
+    A call whose bound from _density_work exceeds DENSITY_WORK_LIMIT
+    is refused with ValueError before any work.
     """
     if upper < 1:
         raise ValueError(f"interval end must be positive, got {upper}")
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
-    # Coverage up to the interval end makes every lookup direct; when
-    # the interval outgrows the one-step image bound, covering that
-    # bound is enough because larger values resolve through one step.
-    table = atlas.extended_index_table(min(upper, step_image_bound(e, upper)))
+    digits = to_factoradic(upper).digits
+    if _density_work(e, len(digits)) > DENSITY_WORK_LIMIT:
+        raise ValueError(
+            f"density for upper={upper} at e={e} is too large: tallying "
+            f"its step sums may take over {DENSITY_WORK_LIMIT} dictionary "
+            f"updates")
+    low = {0: 1}
+    tally = {0: 1}
+    for i, d in enumerate(digits, start=1):
+        powers = [a ** e for a in range(i + 1)]
+        grown: dict[int, int] = {}
+        for a in range(d):
+            _shift_into(grown, low, powers[a])
+        below = dict(grown)
+        _shift_into(below, tally, powers[d])
+        tally = below
+        if i < len(digits):
+            for a in range(d, i + 1):
+                _shift_into(grown, low, powers[a])
+            low = grown
+    tally[0] -= 1  # n = 0
     totals = [0] * len(atlas.attractors)
-    covered = min(upper, len(table) - 1)
-    for n in range(1, covered + 1):
-        totals[table[n]] += 1
-    for s in _step_images(e, covered + 1, upper):
-        totals[table[s]] += 1
+    for s, c in tally.items():
+        if c:
+            while s > atlas.memo_bound:
+                s = happy_step_nat(s, e)
+            totals[atlas.attractor_index(s)] += c
     counts = {att: totals[idx] for idx, att in enumerate(atlas.attractors)}
     proportions = {att: Fraction(c, upper) for att, c in counts.items()}
     return DensityReport(e=e, upper=upper, counts=counts,

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from facthappy import enumerate_attractors
+from facthappy.analysis import DensityReport
+from facthappy.dynamics import happy_step_nat, step_image_bound, _step_images
 
 _ATLASES = {}
 
@@ -13,3 +17,39 @@ def atlas():
             _ATLASES[e] = enumerate_attractors(e)
         return _ATLASES[e]
     return get
+
+
+def scan_density(e, upper, atlas):
+    """Reference tally for density: classify every n in [1, upper] in turn.
+
+    Values the extended table covers are read directly; each value
+    beyond it takes a single step, streamed by the factoradic counter,
+    before its lookup. Time is linear in upper.
+    """
+    # Covering the one-step image bound is enough: larger values
+    # resolve through one step into the table.
+    table = atlas.extended_index_table(min(upper, step_image_bound(e, upper)))
+    totals = [0] * len(atlas.attractors)
+    covered = min(upper, len(table) - 1)
+    for n in range(1, covered + 1):
+        totals[table[n]] += 1
+    for s in _step_images(e, covered + 1, upper):
+        totals[table[s]] += 1
+    counts = {att: totals[idx] for idx, att in enumerate(atlas.attractors)}
+    proportions = {att: Fraction(c, upper) for att, c in counts.items()}
+    return DensityReport(e=e, upper=upper, counts=counts,
+                         proportions=proportions)
+
+
+def walk_tally(e, lo, hi, atlas):
+    """Per-value tally over [lo, hi], independent of the scan and the DP.
+
+    Each n is walked with the division-loop step down to memo_bound,
+    then its attractor index is read from the atlas.
+    """
+    totals = [0] * len(atlas.attractors)
+    for n in range(lo, hi + 1):
+        while n > atlas.memo_bound:
+            n = happy_step_nat(n, e)
+        totals[atlas.attractor_index(n)] += 1
+    return totals

@@ -10,6 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from conftest import scan_density, walk_tally
 from facthappy.analysis import density, emit_report, smallest_runs
 from facthappy.dynamics import (
     Attractor,
@@ -258,25 +259,19 @@ def test_criterion_7_property_suites(atlas):
                 == happy_step_nat(x, e) + happy_step_nat(y, e)
 
 
-def _oracle_tally(e: int, upper: int, at) -> list[int]:
-    """Per-value tally by the division-loop step, independent of the counter."""
-    totals = [0] * len(at.attractors)
-    for n in range(1, upper + 1):
-        while n > at.memo_bound:
-            n = happy_step_nat(n, e)
-        totals[at.attractor_index(n)] += 1
-    return totals
-
-
 def test_criterion_8_partition_determinism(atlas):
-    with criterion(8, "density over [1, 10^6] byte-identical across runs "
-                      "and equal to a per-value oracle tally", budget=30.0):
+    with criterion(8, "density over [1, 10^6] byte-identical across runs, "
+                      "to the scan oracle's report, and equal to a per-value "
+                      "oracle tally", budget=30.0):
         upper = 10 ** 6
         at = atlas(2)
         reports = [density(2, upper, at), density(2, upper, at)]
         texts = [(emit_report(r, "csv"), emit_report(r, "json"))
                  for r in reports]
         assert texts[1] == texts[0]
-        expected = dict(zip(at.attractors, _oracle_tally(2, upper, at)))
+        scan = scan_density(2, upper, at)
+        assert scan == reports[0]
+        assert (emit_report(scan, "csv"), emit_report(scan, "json")) == texts[0]
+        expected = dict(zip(at.attractors, walk_tally(2, 1, upper, at)))
         for report in reports:
             assert report.counts == expected

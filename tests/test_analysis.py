@@ -1,8 +1,11 @@
 import json
 import random
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import scan_density, walk_tally
 from facthappy.analysis import (
     RunRecord,
     density,
@@ -10,7 +13,7 @@ from facthappy.analysis import (
     is_p_happy,
     smallest_runs,
 )
-from facthappy.dynamics import happy_step_nat
+from facthappy.dynamics import Attractor, happy_step_nat
 
 
 def _orbit_reaches(n, e, p):
@@ -104,11 +107,53 @@ def test_density_counts_match_direct_oracle(atlas):
         assert sum(report.counts.values()) == upper
 
 
+def _assert_matches_scan(e, upper, at):
+    report = density(e, upper, at)
+    scan = scan_density(e, upper, at)
+    assert report.counts == scan.counts
+    for fmt in ("csv", "json"):
+        assert emit_report(report, fmt) == emit_report(scan, fmt)
+
+
+@settings(deadline=None)
+@given(e=st.integers(1, 6), upper=st.integers(1, 10 ** 6))
+def test_density_matches_scan(atlas, e, upper):
+    _assert_matches_scan(e, upper, atlas(e))
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+def test_density_matches_scan_at_factorials(atlas, e):
+    # k! starts a new top digit; k! - 1 has every digit at its maximum
+    for k in range(1, 10):
+        for upper in (factorial(k) - 1, factorial(k), factorial(k) + 1):
+            if upper >= 1:
+                _assert_matches_scan(e, upper, atlas(e))
+
+
+@pytest.mark.parametrize("e", (2, 3, 4, 5))
+def test_density_difference_at_astronomical_bound(atlas, e):
+    at = atlas(e)
+    lo = factorial(13)
+    hi = lo + 10 ** 4
+    below, through = density(e, lo, at), density(e, hi, at)
+    got = [through.counts[att] - below.counts[att] for att in at.attractors]
+    assert got == walk_tally(e, lo + 1, hi, at)
+
+
+def test_density_exponent_one_is_all_happy(atlas):
+    # every positive integer is 1-power happy
+    upper = factorial(20) - 1
+    report = density(1, upper, atlas(1))
+    assert report.counts == {Attractor.fixed_point(1): upper}
+
+
 def test_density_validates(atlas):
     with pytest.raises(ValueError):
         density(2, 0, atlas(2))
     with pytest.raises(ValueError):
         density(3, 10, atlas(2))
+    with pytest.raises(ValueError, match=f"upper={10 ** 40} at e=6"):
+        density(6, 10 ** 40, atlas(6))
 
 
 def test_emit_density_csv_golden(atlas):

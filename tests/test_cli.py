@@ -1,4 +1,5 @@
 import json
+import time
 
 from facthappy import cli
 
@@ -173,6 +174,15 @@ def test_density_ignores_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("FACTHAPPY_THREADS", "zero")
     code, out, err = run_cli(capsys, "density", "--e", "2", "--upper", "10")
     assert (code, out, err) == (0, base, "")
+
+
+def test_density_refuses_astronomical_upper(capsys):
+    upper = str(10 ** 40)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "density", "--e", "6", "--upper", upper)
+    assert time.perf_counter() - started < 10
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and f"upper={upper} at e=6" in err
 
 
 def test_identical_argv_identical_bytes(capsys):
