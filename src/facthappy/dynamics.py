@@ -16,6 +16,7 @@ from math import factorial
 from .factoradic import FactoradicRep, digit_count, to_factoradic
 
 DEFAULT_ORBIT_CAP = 10_000
+_ATLAS_ENTRY_LIMIT = 1_000_000  # admits e = 6 (446,964), refuses e = 7
 
 
 class CertificationError(RuntimeError):
@@ -265,9 +266,19 @@ def enumerate_attractors(e: int, bound: DescentBound | None = None) -> Attractor
     smallest member. Refuses to run on an exponent whose certificate
     failed, since the sweep interval would prove nothing. Time and
     memory are linear in the bound (j+1)! - 1, which grows factorially
-    in e; exponents up to 6 build in well under a second, e = 7 already
-    needs tens of millions of table entries.
+    in e; over _ATLAS_ENTRY_LIMIT values (e >= 7) it raises ValueError.
     """
+    # Search j (see smallest_j) only while (j+1)! - 1 fits the limit;
+    # j! <= j^(j-1) means j > e, so a huge e fails fast.
+    _check_exponent(e)
+    j = fact = 1
+    while not (e < j and fact > j ** (e - 1)):
+        j += 1
+        fact *= j
+        if fact * (j + 1) - 1 > _ATLAS_ENTRY_LIMIT:
+            raise ValueError(
+                f"exponent {e}: the atlas needs at least {fact * (j + 1) - 1:,}"
+                f" entries, over the limit of {_ATLAS_ENTRY_LIMIT:,}")
     if bound is None:
         bound = descent_bound(e)
     if bound.e != e:
@@ -282,30 +293,27 @@ def enumerate_attractors(e: int, bound: DescentBound | None = None) -> Attractor
     index = [-1] * (memo_bound + 1)
     steps = [0] * (memo_bound + 1)
     found: list[tuple[int, ...]] = []
-    # Seed the whole memo range, not just [1, M]: one-step images of
-    # larger values land anywhere below memo_bound and must resolve.
+    # Walk from all of [1, memo_bound]: images of larger values land there.
+    # Each walk stamps what it visits with -2 - n and stops at the first
+    # value not -1; meeting its own stamp closes a new attractor.
     for n in range(1, memo_bound + 1):
-        if index[n] >= 0:
-            continue
         path: list[int] = []
-        pos: dict[int, int] = {}
         v = n
-        while index[v] < 0 and v not in pos:
-            pos[v] = len(path)
+        while index[v] == -1:
+            index[v] = -2 - n
             path.append(v)
             v = img[v]
-        if index[v] >= 0:
+        if index[v] == -2 - n:
+            k = path.index(v)
+            a = len(found)
+            found.append(tuple(path[k:]))
+            for mv in path[k:]:
+                index[mv] = a
+            del path[k:]
+            s = 0
+        else:
             a = index[v]
             s = steps[v]
-        else:
-            members = tuple(path[pos[v]:])
-            a = len(found)
-            found.append(members)
-            for mv in members:
-                index[mv] = a
-                steps[mv] = 0
-            path = path[:pos[v]]
-            s = 0
         for pv in reversed(path):
             s += 1
             index[pv] = a

@@ -111,27 +111,19 @@ def shift(d: FactoradicRep, t: int) -> FactoradicRep:
 def add(d: FactoradicRep, y: int) -> FactoradicRep:
     """Factorial-base addition of a nonnegative integer y to d.
 
-    Position i has radix i + 1: digit sum s leaves s mod (i+1) and
-    carries s // (i+1) upward. Both addends have digit <= i there, so
-    the carry never exceeds 1.
+    y is carried in from the 1! place: position i keeps (digit + y) mod
+    (i + 2) and passes the quotient up as the new y. The last digit
+    written is a nonzero remainder, so no top zero can form.
     """
     if y < 0:
         raise ValueError(f"addend must be nonnegative, got {y}")
-    other = to_factoradic(y).digits
-    out = []
-    carry = 0
-    for i in range(max(len(d.digits), len(other))):
-        s = carry
-        if i < len(d.digits):
-            s += d.digits[i]
-        if i < len(other):
-            s += other[i]
-        carry, a = divmod(s, i + 2)
-        out.append(a)
-    if carry:
-        out.append(carry)
-    while out and out[-1] == 0:
-        out.pop()
+    out = list(d.digits)
+    i = 0
+    while y:
+        if i == len(out):
+            out.append(0)
+        y, out[i] = divmod(out[i] + y, i + 2)
+        i += 1
     return FactoradicRep(tuple(out))
 
 

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .dynamics import AttractorAtlas, classify, happy_step, happy_step_nat, iterate
+from .dynamics import AttractorAtlas, classify, happy_step, happy_step_nat
 from .factoradic import FactoradicRep, add, digit_count, shift, to_factoradic, to_natural
 
 
@@ -209,11 +209,11 @@ def build_sequence(e: int, p: int, m: int, witness: NiceWitness,
     t = 0
     steps_by_index: dict[int, int] = {}
     for i in range(1, m + 1):
-        v = i
-        for _ in range(r + 1):
-            t = max(t, digit_count(v))
-            v = happy_step_nat(v, e)
-        u = iterate(i, e, r)
+        u = i
+        for _ in range(r):
+            t = max(t, digit_count(u))
+            u = happy_step_nat(u, e)
+        t = max(t, digit_count(u))
         if u not in witness.q_by_member:
             raise WitnessError(
                 f"value {u} reached from {i} is not covered by the witness")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 from facthappy import cli
@@ -183,6 +186,32 @@ def test_density_refuses_astronomical_upper(capsys):
     assert time.perf_counter() - started < 10
     assert (code, out) == (1, "")
     assert err.startswith("error:") and f"upper={upper} at e=6" in err
+
+
+def test_atlas_commands_refuse_oversized_exponent(capsys):
+    for e in ("7", "8", "1000000"):
+        for argv in (("attractors", "--e", e),
+                     ("nice", "--e", e, "--p", "1", "--l", "5"),
+                     ("build", "--e", e, "--p", "1", "--m", "3", "--l", "5"),
+                     ("runs", "--e", e, "--max-m", "3"),
+                     ("density", "--e", e, "--upper", "5")):
+            started = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - started < 1
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: exponent {e}: the atlas needs")
+
+
+def test_oversized_exponent_refused_in_subprocess():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for e in ("7", "1000000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "facthappy.cli", "density", "--e", e,
+             "--upper", "5"], env=env, capture_output=True, text=True,
+            timeout=30)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert f"exponent {e}" in proc.stderr
 
 
 def test_identical_argv_identical_bytes(capsys):

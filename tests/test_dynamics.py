@@ -16,6 +16,7 @@ from facthappy.dynamics import (
     iterate,
     smallest_j,
     step_image_bound,
+    _ATLAS_ENTRY_LIMIT,
     _step_images,
 )
 from facthappy.factoradic import to_factoradic
@@ -145,6 +146,39 @@ def test_atlas_members_are_actual_orbits(atlas):
             ms = cyc.members
             for a, b in zip(ms, ms[1:] + ms[:1]):
                 assert happy_step_nat(a, e) == b
+
+
+def _assert_matches_oracle(at, n):
+    report = classify(n, at.e)  # no atlas: first-repeat detection
+    assert at.lookup(n) == (report.attractor, report.steps_to_attractor)
+
+
+@pytest.mark.parametrize("e", range(1, 6))
+def test_atlas_matches_oracle_exhaustively(e, atlas):
+    at = atlas(e)
+    for n in range(1, at.memo_bound + 1):
+        _assert_matches_oracle(at, n)
+
+
+def test_atlas_matches_oracle_sampled_e6(atlas):
+    at = atlas(6)
+    rng = random.Random(2019)
+    sample = {rng.randrange(1, at.memo_bound + 1) for _ in range(5000)}
+    for edge in (at.bound, at.memo_bound):
+        sample.update(range(max(1, edge - 100), min(at.memo_bound, edge + 100) + 1))
+    for n in sorted(sample):
+        _assert_matches_oracle(at, n)
+
+
+def test_atlas_limit_admits_e6_refuses_e7(atlas):
+    assert max(atlas(e).memo_bound for e in range(1, 7)) <= _ATLAS_ENTRY_LIMIT
+    bound_e7 = descent_bound(7)
+    assert bound_e7.certificate_ok and bound_e7.bound > _ATLAS_ENTRY_LIMIT
+    for e in (7, 8, 10 ** 6):
+        with pytest.raises(ValueError, match=f"exponent {e}: the atlas needs"):
+            enumerate_attractors(e)
+    with pytest.raises(ValueError, match="exponent 7: the atlas needs"):
+        enumerate_attractors(7, bound_e7)
 
 
 def test_enumerate_attractors_refuses_failed_certificate():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from facthappy import factoradic
 from facthappy.factoradic import (
@@ -104,6 +105,17 @@ def test_add_matches_integer_addition():
         a = rng.randrange(0, 10 ** 10)
         b = rng.randrange(0, 10 ** 10)
         assert to_natural(add(to_factoradic(a), b)) == a + b
+
+
+@given(a=st.integers(0, 10 ** 300), b=st.integers(0, 10 ** 300))
+def test_add_agrees_with_integer_addition(a, b):
+    assert to_natural(add(to_factoradic(a), b)) == a + b
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_add_carries_through_every_position(k):
+    # k! - 1 has every digit at its maximum; adding 1 carries to the top.
+    assert add(to_factoradic(math.factorial(k) - 1), 1) == to_factoradic(math.factorial(k))
 
 
 def test_add_rejects_negative_addend():

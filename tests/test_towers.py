@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from facthappy.dynamics import happy_step, happy_step_nat
+from facthappy.dynamics import happy_step, happy_step_nat, iterate
 from facthappy.factoradic import add, digit_count, to_factoradic, to_natural
 from facthappy.towers import (
     ChainNumber,
@@ -105,6 +105,17 @@ def test_build_sequence_depth_two(atlas):
         assert replay_run(cert, i) == 5
 
 
+def test_build_sequence_pad_covers_every_visited_value(atlas):
+    # t is the most digits among i, step(i), ..., step^r(i), end included.
+    for (e, p, offset) in WITNESSES:
+        witness = nice_check(e, p, offset, atlas(e))
+        for m in (1, 2, 7, 20):
+            cert = build_sequence(e, p, m, witness, atlas(e))
+            assert cert.t == max(digit_count(iterate(i, e, k))
+                                 for i in range(1, m + 1)
+                                 for k in range(cert.r + 1))
+
+
 def test_build_sequence_run_of_one_is_concrete(atlas):
     witness = nice_check(2, 1, 20, atlas(2))
     cert = build_sequence(2, 1, 1, witness, atlas(2))
@@ -155,6 +166,18 @@ def test_build_sequence_validates_inputs(atlas):
         build_sequence(2, 4, 3, witness, atlas(2))
     with pytest.raises(ValueError):
         build_sequence(3, 1, 3, witness, atlas(2))
+
+
+def test_depth_one_chain_plus_small_index_keeps_upper_digits():
+    rng = random.Random(5)
+    for base, t in ((3, 4), (20, 6), (45, 9), (65763, 12)):
+        rep = materialize(ChainNumber(base=base, shift=t, depth=1), 10 ** 6)
+        for i in [1, math.factorial(t + 1) - 1] + [
+                rng.randrange(1, math.factorial(t + 1)) for _ in range(20)]:
+            digits = add(rep, i).digits
+            assert digits[t:] == rep.digits[t:]
+            low = to_factoradic(i).digits
+            assert digits[:t] == low + (0,) * (t - len(low))
 
 
 def test_materialize_depths(atlas):
