@@ -87,9 +87,10 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     The default floor of 2 matches the usual convention of starting the
     search above the trivial fixed point 1; pass 1 for the full search.
     The sweep keeps the current run start; a miss resets it. Memory is
-    one table entry per integer up to the cap, so keep search_cap in
-    the millions at most. Unresolved lengths are reported by a
-    RunSearch with complete=False rather than an error.
+    one table entry per integer up to the cap, and a search_cap over
+    1,000,000 raises ValueError before the table is built. Unresolved
+    lengths are reported by a RunSearch with complete=False rather
+    than an error.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
@@ -156,8 +157,8 @@ def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     strings give it; tally does the same for the n in [0, upper mod i!].
     Position i, where upper has digit d, extends both: an n whose digit
     there is some a < d has a free lower part, one whose digit is d
-    continues the old tally. Each distinct sum is then classified once:
-    a table read, or steps down to memo_bound first.
+    continues the old tally. Each distinct sum is then classified once
+    by the atlas.
 
     Cost follows the number of distinct step sums, not upper: a few
     dictionary updates per sum and position, milliseconds at 10! - 1.
@@ -192,8 +193,6 @@ def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     totals = [0] * len(atlas.attractors)
     for s, c in tally.items():
         if c:
-            while s > atlas.memo_bound:
-                s = happy_step_nat(s, e)
             totals[atlas.attractor_index(s)] += c
     counts = {att: totals[idx] for idx, att in enumerate(atlas.attractors)}
     proportions = {att: Fraction(c, upper) for att, c in counts.items()}

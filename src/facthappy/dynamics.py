@@ -17,6 +17,9 @@ from .factoradic import FactoradicRep, digit_count, to_factoradic
 
 DEFAULT_ORBIT_CAP = 10_000
 _ATLAS_ENTRY_LIMIT = 1_000_000  # admits e = 6 (446,964), refuses e = 7
+# Largest exponent smallest_j and classify accept: at e = 200 a default
+# cap orbit of 2021 gives up after 3-5 s, and the cost grows with e.
+EXPONENT_LIMIT = 200
 
 
 class CertificationError(RuntimeError):
@@ -59,6 +62,13 @@ def iterate(n: int, e: int, count: int) -> int:
 def _check_exponent(e: int) -> None:
     if e < 1:
         raise ValueError(f"exponent must be a positive integer, got {e}")
+
+
+def _check_exponent_limit(e: int) -> None:
+    _check_exponent(e)
+    if e > EXPONENT_LIMIT:
+        raise ValueError(
+            f"exponent {e} is above the limit of {EXPONENT_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,7 @@ class DescentBound:
     sum(i * i! for i <= j) = (j+1)! - 1. tail_offset is the exact
     worst-case contribution of the digit positions 2..j-1, i.e.
     sum over those positions of min(a * i! - a^e for 0 <= a <= i).
+    a * i! - a^e is concave in a, so each minimum is min(0, i * i! - i^e).
 
     certificate_ok records three exact integer checks:
       base_case       j! > j^(e-1)
@@ -142,8 +153,11 @@ class DescentBound:
 
 
 def smallest_j(e: int) -> int:
-    """Least j >= 1 with j! > j^(e-1), by ascending exact search."""
-    _check_exponent(e)
+    """Least j >= 1 with j! > j^(e-1), by ascending exact search.
+
+    Exponents above EXPONENT_LIMIT raise ValueError.
+    """
+    _check_exponent_limit(e)
     j = 1
     fact = 1
     while True:
@@ -157,10 +171,7 @@ def descent_bound(e: int) -> DescentBound:
     """Compute the descent threshold for e and run its certificate checks."""
     j = smallest_j(e)
     bound = factorial(j + 1) - 1
-    tail = sum(
-        min(a * factorial(i) - a ** e for a in range(i + 1))
-        for i in range(2, j)
-    )
+    tail = sum(min(0, i * factorial(i) - i ** e) for i in range(2, j))
     failed = []
     if not factorial(j) > j ** (e - 1):
         failed.append("base_case")
@@ -211,12 +222,12 @@ def _step_images(e: int, lo: int, hi: int) -> Iterator[int]:
 
 
 class AttractorAtlas:
-    """Memoized classification of every integer in [1, bound].
+    """Classification of every positive integer, memoized on [1, memo_bound].
 
-    bound is the certified descent threshold for e. The memo actually
-    extends to memo_bound >= bound so that every one-step image of a
-    value below bound is also covered. After construction the atlas is
-    immutable and safe to share across threads.
+    bound is the certified descent threshold for e, and memo_bound is the
+    largest one-step image of a value up to bound: the memo is closed
+    under the step map, and larger values step down into it first. The
+    atlas is immutable after construction and safe to share across threads.
     """
 
     def __init__(self, e: int, bound: int, memo_bound: int,
@@ -232,26 +243,43 @@ class AttractorAtlas:
         self._index = index
         self._steps = steps
 
+    def _resolve(self, n: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[int, int]:
+        """(attractor index, steps to reach it) for any n >= 1."""
+        if n < 1:
+            raise ValueError(f"expected a positive integer, got {n}")
+        v, total = n, 0
+        while v > self.memo_bound:
+            v = happy_step_nat(v, self.e)
+            total += 1
+            if total > cap:
+                raise OrbitCapError(
+                    f"orbit of {n} under e={self.e} exceeded {cap} steps")
+        return self._index[v], total + self._steps[v]
+
     def attractor_index(self, n: int) -> int:
-        if not 1 <= n <= self.memo_bound:
-            raise ValueError(f"{n} outside memoized range [1, {self.memo_bound}]")
-        return self._index[n]
+        return self._resolve(n)[0]
 
     def lookup(self, n: int) -> tuple[Attractor, int]:
-        """(attractor, steps to reach it) for a memoized n."""
-        return self.attractors[self.attractor_index(n)], self._steps[n]
+        """(attractor, steps to reach it) for any n >= 1."""
+        index, steps = self._resolve(n)
+        return self.attractors[index], steps
 
     def extended_index_table(self, upper: int) -> list[int]:
         """Attractor-index table covering [1, max(upper, memo_bound)].
 
         Entry 0 is unused (-1). Above memo_bound each value resolves
-        through a single step, which lands strictly lower by the
-        certified descent, so one forward pass fills the extension.
-        Returns the internal table when it already suffices; treat the
-        result as read-only.
+        through a single step, which lands in the memo for a value up
+        to bound and strictly lower above it by the certified descent,
+        so one forward pass fills the extension. Returns the internal
+        table when it already suffices; treat the result as read-only.
+        An upper over _ATLAS_ENTRY_LIMIT raises ValueError up front.
         """
         if upper <= self.memo_bound:
             return self._index
+        if upper > _ATLAS_ENTRY_LIMIT:
+            raise ValueError(
+                f"an index table up to {upper} would hold over the limit "
+                f"of {_ATLAS_ENTRY_LIMIT:,} values")
         table = list(self._index)
         append = table.append
         for s in _step_images(self.e, self.memo_bound + 1, upper):
@@ -259,7 +287,7 @@ class AttractorAtlas:
         return table
 
 
-def enumerate_attractors(e: int, bound: DescentBound | None = None) -> AttractorAtlas:
+def enumerate_attractors(e: int) -> AttractorAtlas:
     """Classify [1, M] for the certified bound M, collecting every attractor.
 
     Fixed points come first in ascending order, then cycles ordered by
@@ -279,21 +307,18 @@ def enumerate_attractors(e: int, bound: DescentBound | None = None) -> Attractor
             raise ValueError(
                 f"exponent {e}: the atlas needs at least {fact * (j + 1) - 1:,}"
                 f" entries, over the limit of {_ATLAS_ENTRY_LIMIT:,}")
-    if bound is None:
-        bound = descent_bound(e)
-    if bound.e != e:
-        raise ValueError(f"bound is for exponent {bound.e}, not {e}")
+    bound = descent_bound(e)
     if not bound.certificate_ok:
         raise CertificationError(
             f"exponent {e}: certificate checks failed: "
             + ", ".join(bound.failed_checks))
     m = bound.bound
-    memo_bound = max(m, step_image_bound(e, m))
+    # Walk from all of [1, memo_bound]: it is closed under the step map.
+    memo_bound = step_image_bound(e, m)
     img = list(_step_images(e, 0, memo_bound))
     index = [-1] * (memo_bound + 1)
     steps = [0] * (memo_bound + 1)
     found: list[tuple[int, ...]] = []
-    # Walk from all of [1, memo_bound]: images of larger values land there.
     # Each walk stamps what it visits with -2 - n and stops at the first
     # value not -1; meeting its own stamp closes a new attractor.
     for n in range(1, memo_bound + 1):
@@ -334,28 +359,21 @@ def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,
              cap: int = DEFAULT_ORBIT_CAP, trace: bool = False) -> OrbitReport:
     """Follow the orbit of n until it enters a fixed point or cycle.
 
-    With an atlas, the walk descends into the memoized range and splices
-    the stored answer; without one it keeps a visited map and detects
-    the first repeat. steps_to_attractor is the least step count whose
-    iterate lies on the attractor. trace additionally records the
-    values from n up to and including the attractor entry point.
+    With an atlas, the atlas resolves n; without one the walk keeps a
+    visited map and detects the first repeat. steps_to_attractor is the
+    least step count whose iterate lies on the attractor. trace
+    additionally records the values from n up to and including the
+    attractor entry point. Exponents above EXPONENT_LIMIT raise
+    ValueError.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    _check_exponent(e)
+    _check_exponent_limit(e)
     if atlas is not None:
         if atlas.e != e:
             raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
-        total = 0
-        v = n
-        while v > atlas.memo_bound:
-            v = happy_step_nat(v, e)
-            total += 1
-            if total > cap:
-                raise OrbitCapError(
-                    f"orbit of {n} under e={e} exceeded {cap} steps")
-        attractor, tail = atlas.lookup(v)
-        total += tail
+        index, total = atlas._resolve(n, cap)
+        attractor = atlas.attractors[index]
     else:
         path = [n]
         pos = {n: 0}

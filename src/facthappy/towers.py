@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .dynamics import AttractorAtlas, classify, happy_step, happy_step_nat
+from .dynamics import Attractor, AttractorAtlas, happy_step, happy_step_nat
 from .factoradic import FactoradicRep, add, digit_count, shift, to_factoradic, to_natural
 
 
@@ -86,10 +86,11 @@ def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas, *,
     """Verify that offset + u iterates to p for every attractor member u.
 
     Members are taken from the atlas (fixed points and all cycle
-    members). Raises WitnessError naming the first failing member and
-    where its orbit actually went. The cap is a safety net far above
-    the step counts seen in practice (at most 12 for the bundled
-    witnesses).
+    members), and so is each first passage: for a fixed point it is
+    the step count to that attractor. Raises WitnessError naming the
+    first failing member and where its orbit actually went. The cap is
+    a safety net far above the step counts seen in practice (at most
+    12 for the bundled witnesses).
     """
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
@@ -99,16 +100,11 @@ def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas, *,
         m for att in atlas.attractors for m in att.members)
     q_by_member: dict[int, int] = {}
     for u in members:
-        v = offset + u
-        q = 0
-        while v != p:
-            v = happy_step_nat(v, e)
-            q += 1
-            if q > cap:
-                landed = classify(offset + u, e, atlas).attractor
-                raise WitnessError(
-                    f"offset {offset}: member {u} did not reach {p} within "
-                    f"{cap} steps (orbit settles on {landed.text})")
+        landed, q = atlas.lookup(offset + u)
+        if landed != Attractor.fixed_point(p) or q > cap:
+            raise WitnessError(
+                f"offset {offset}: member {u} did not reach {p} within "
+                f"{cap} steps (orbit settles on {landed.text})")
         q_by_member[u] = q
     return NiceWitness(e=e, p=p, offset=offset, q_by_member=q_by_member)
 
@@ -201,7 +197,7 @@ def build_sequence(e: int, p: int, m: int, witness: NiceWitness,
             f"witness is for (e={witness.e}, p={witness.p}), not (e={e}, p={p})")
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
-    r = max(classify(i, e, atlas).steps_to_attractor for i in range(1, m + 1))
+    r = max(atlas.lookup(i)[1] for i in range(1, m + 1))
     if r > 0 and witness.offset < 1:
         raise WitnessError(
             "offset 0 cannot seed a chain: the all-ones preimage needs a "

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 
-from facthappy import cli
+from facthappy import cli, dynamics
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +200,33 @@ def test_atlas_commands_refuse_oversized_exponent(capsys):
             assert time.perf_counter() - started < 1
             assert (code, out) == (1, "")
             assert err.startswith(f"error: exponent {e}: the atlas needs")
+
+
+def test_bound_and_orbit_refuse_exponent_over_limit(capsys):
+    over = str(dynamics.EXPONENT_LIMIT + 1)
+    for e in (over, "1000", "1000000"):
+        for argv in (("bound", "--e", e), ("orbit", "2021", "--e", e),
+                     ("orbit", "2021", "--e", e, "--trace")):
+            started = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - started < 1
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: exponent {e} is above the limit")
+    code, out, _ = run_cli(capsys, "bound", "--e", str(dynamics.EXPONENT_LIMIT))
+    assert code == 0 and "certificate: ok" in out
+
+
+def test_runs_refuses_cap_over_table_limit(capsys):
+    cap = str(10 ** 12)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "runs", "--e", "2", "--max-m", "3",
+                             "--cap", cap)
+    assert time.perf_counter() - started < 5
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and cap in err
+    code, out, _ = run_cli(capsys, "runs", "--e", "2", "--max-m", "3",
+                           "--cap", str(10 ** 6))
+    assert code == 0 and out.endswith("m=3: start 6\n")
 
 
 def test_oversized_exponent_refused_in_subprocess():

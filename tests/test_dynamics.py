@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from facthappy import dynamics
 from facthappy.dynamics import (
+    EXPONENT_LIMIT,
     Attractor,
     CertificationError,
     DescentBound,
@@ -32,6 +34,7 @@ EXPECTED_ATLAS = {
 }
 EXPECTED_BOUND = {1: 5, 2: 23, 3: 119, 4: 5039, 5: 40319, 6: 362879}
 EXPECTED_TAIL_OFFSET = {1: 0, 2: 0, 3: -13, 4: -260, 5: -7162, 6: -144501}
+EXPECTED_MEMO_BOUND = {1: 3, 2: 14, 3: 100, 4: 2275, 5: 29008, 6: 446964}
 
 
 def test_happy_step_examples():
@@ -103,6 +106,24 @@ def test_descent_bound_certifies_larger_exponents():
         assert descent_bound(e).certificate_ok
 
 
+@pytest.mark.parametrize("e", range(1, 41))
+def test_descent_tail_matches_definition(e):
+    j = smallest_j(e)
+    definition = sum(min(a * math.factorial(i) - a ** e for a in range(i + 1))
+                     for i in range(2, j))
+    assert descent_bound(e).tail_offset == definition
+
+
+def test_exponent_limit():
+    assert smallest_j(EXPONENT_LIMIT) > EXPONENT_LIMIT
+    assert descent_bound(EXPONENT_LIMIT).certificate_ok
+    for call in (smallest_j, descent_bound, lambda e: classify(2021, e)):
+        with pytest.raises(ValueError, match=f"exponent {EXPONENT_LIMIT + 1} "):
+            call(EXPONENT_LIMIT + 1)
+        with pytest.raises(ValueError, match="exponent 1000000 "):
+            call(10 ** 6)
+
+
 def test_descent_above_bound_randomized():
     rng = random.Random(1234)
     for e in range(2, 7):
@@ -156,8 +177,37 @@ def _assert_matches_oracle(at, n):
 @pytest.mark.parametrize("e", range(1, 6))
 def test_atlas_matches_oracle_exhaustively(e, atlas):
     at = atlas(e)
-    for n in range(1, at.memo_bound + 1):
+    for n in range(1, max(at.bound, at.memo_bound) + 1):
         _assert_matches_oracle(at, n)
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+def test_memo_is_smallest_step_closed_range(e, atlas):
+    at = atlas(e)
+    assert at.memo_bound == step_image_bound(e, at.bound) == EXPECTED_MEMO_BOUND[e]
+    assert max(_step_images(e, 1, at.memo_bound)) <= at.memo_bound
+    for att in at.attractors:
+        assert max(att.members) <= at.memo_bound
+
+
+@pytest.mark.parametrize("e", range(2, 7))
+def test_lookup_above_memo_matches_oracle(e, atlas):
+    at = atlas(e)
+    values = {10 ** 30, 10 ** 300}
+    for k in range(2, 41):
+        values.update((math.factorial(k) - 1, math.factorial(k) + 1))
+    for n in sorted(values):
+        _assert_matches_oracle(at, n)
+        assert at.attractor_index(n) == at.attractors.index(at.lookup(n)[0])
+
+
+def test_atlas_rejects_nonpositive(atlas):
+    at = atlas(2)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="positive integer"):
+            at.attractor_index(n)
+        with pytest.raises(ValueError, match="positive integer"):
+            at.lookup(n)
 
 
 def test_atlas_matches_oracle_sampled_e6(atlas):
@@ -177,15 +227,14 @@ def test_atlas_limit_admits_e6_refuses_e7(atlas):
     for e in (7, 8, 10 ** 6):
         with pytest.raises(ValueError, match=f"exponent {e}: the atlas needs"):
             enumerate_attractors(e)
-    with pytest.raises(ValueError, match="exponent 7: the atlas needs"):
-        enumerate_attractors(7, bound_e7)
 
 
-def test_enumerate_attractors_refuses_failed_certificate():
+def test_enumerate_attractors_refuses_failed_certificate(monkeypatch):
     fake = DescentBound(e=2, j=3, bound=23, tail_offset=0,
                         certificate_ok=False, failed_checks=("dominance",))
+    monkeypatch.setattr(dynamics, "descent_bound", lambda e: fake)
     with pytest.raises(CertificationError):
-        enumerate_attractors(2, fake)
+        enumerate_attractors(2)
 
 
 def test_classify_examples(atlas):

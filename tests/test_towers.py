@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from facthappy.dynamics import happy_step, happy_step_nat, iterate
+from facthappy.dynamics import classify, happy_step, happy_step_nat, iterate
 from facthappy.factoradic import add, digit_count, to_factoradic, to_natural
 from facthappy.towers import (
     ChainNumber,
@@ -79,6 +79,46 @@ def test_nice_check_known_offsets(key, atlas):
     e, p, offset = key
     witness = nice_check(e, p, offset, atlas(e))
     assert witness.q_by_member == WITNESSES[key]
+
+
+def _first_passage(v, e, p, cap):
+    """Steps from v to p by plain iteration; None if a repeat or the cap comes first."""
+    seen = set()
+    q = 0
+    while v != p:
+        if v in seen or q == cap:
+            return None
+        seen.add(v)
+        v = happy_step_nat(v, e)
+        q += 1
+    return q
+
+
+@pytest.mark.parametrize("key", sorted(WITNESSES))
+def test_nice_check_matches_first_passage_walk(key, atlas):
+    e, p, builtin = key
+    at = atlas(e)
+    members = sorted(m for att in at.attractors for m in att.members)
+    rng = random.Random(f"nice-{e}-{p}")
+    outcomes = set()
+    for k in range(200):
+        offset = builtin if k == 0 else rng.randrange(0, 10 ** 5)
+        cap = 1000 if k == 0 else rng.choice((1000, rng.randrange(0, 12)))
+        walked = {u: _first_passage(offset + u, e, p, cap) for u in members}
+        failing = [u for u in members if walked[u] is None]
+        if not failing:
+            assert nice_check(e, p, offset, at, cap=cap).q_by_member == walked
+            outcomes.add("pass")
+            continue
+        u = failing[0]
+        landed = classify(offset + u, e).attractor.text
+        with pytest.raises(WitnessError) as info:
+            nice_check(e, p, offset, at, cap=cap)
+        assert str(info.value) == (
+            f"offset {offset}: member {u} did not reach {p} within {cap} "
+            f"steps (orbit settles on {landed})")
+        outcomes.add("fail")
+    assert outcomes == {"pass", "fail"}
 
 
 def test_nice_check_failure_names_member(atlas):
