@@ -19,6 +19,11 @@ BUILTIN_OFFSETS = {
     (4, 1): 6, (4, 658): 65763, (4, 659): 31743,
 }
 
+# Most decimal digits an integer argument or a printed integer may have:
+# Python's default int/str conversion limit. Longer input is refused
+# before int() reads it, and a longer result before it is printed.
+DIGIT_LIMIT = 4300
+
 
 class UsageError(Exception):
     pass
@@ -29,6 +34,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _over_limit(what: str, digits: int) -> str:
+    return f"{what} has {digits:,} decimal digits, over the limit of {DIGIT_LIMIT:,}"
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 1, without turning n into a string."""
+    digits = n.bit_length() * 1233 >> 12  # 1233/4096 < log10(2): a lower bound
+    while n >= 10 ** digits:
+        digits += 1
+    return digits
+
+
+def integer(text: str) -> int:
+    """argparse type: an int of at most DIGIT_LIMIT digits."""
+    digits = len(text.strip().lstrip("+-"))
+    if digits > DIGIT_LIMIT:
+        raise argparse.ArgumentTypeError(_over_limit("the value", digits))
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="facthappy",
                      description="Factorial-base digit-power dynamics toolkit.")
@@ -36,48 +61,48 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("convert", help="convert between integer and digit text")
-    p.add_argument("n", nargs="?", type=int, help="nonnegative integer")
+    p.add_argument("n", nargs="?", type=integer, help="nonnegative integer")
     p.add_argument("--digits", help="digit text such as 2.4.4.0.2.0!")
 
     p = sub.add_parser("orbit", help="classify one orbit")
-    p.add_argument("n", type=int)
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("n", type=integer)
+    p.add_argument("--e", type=integer, required=True)
     p.add_argument("--trace", action="store_true",
                    help="print step<TAB>value<TAB>digits per step")
-    p.add_argument("--cap", type=int, default=dynamics.DEFAULT_ORBIT_CAP)
+    p.add_argument("--cap", type=integer, default=dynamics.DEFAULT_ORBIT_CAP)
 
     p = sub.add_parser("attractors", help="fixed points and cycles for e")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=integer, required=True)
     p.add_argument("--format", choices=("csv",), default=None)
 
     p = sub.add_parser("bound", help="certified descent bound for e")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=integer, required=True)
 
     p = sub.add_parser("nice", help="check an offset against all attractor members")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--e", type=integer, required=True)
+    p.add_argument("--p", type=integer, required=True)
+    p.add_argument("--l", type=integer, required=True)
+    p.add_argument("--cap", type=integer, default=1000)
 
     p = sub.add_parser("build", help="build a consecutive-run certificate")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--l", type=int, default=None,
+    p.add_argument("--e", type=integer, required=True)
+    p.add_argument("--p", type=integer, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--l", type=integer, default=None,
                    help="offset override (default: built-in table)")
     p.add_argument("--format", choices=("json",), default=None)
 
     p = sub.add_parser("runs", help="smallest runs of consecutive p-happy numbers")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--floor", type=int, choices=(1, 2), default=2)
-    p.add_argument("--cap", type=int, default=analysis.DEFAULT_SEARCH_CAP)
+    p.add_argument("--e", type=integer, required=True)
+    p.add_argument("--p", type=integer, default=1)
+    p.add_argument("--max-m", type=integer, required=True)
+    p.add_argument("--floor", type=integer, choices=(1, 2), default=2)
+    p.add_argument("--cap", type=integer, default=analysis.DEFAULT_SEARCH_CAP)
     p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("density", help="attractor tallies over [1, upper]")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--upper", type=int, required=True)
+    p.add_argument("--e", type=integer, required=True)
+    p.add_argument("--upper", type=integer, required=True)
     p.add_argument("--format", choices=("csv", "json"), default=None)
 
     return parser
@@ -91,7 +116,10 @@ def _cmd_convert(args) -> int:
     if (args.n is None) == (args.digits is None):
         raise UsageError("convert needs exactly one of <n> or --digits")
     if args.digits is not None:
-        print(factoradic.to_natural(factoradic.parse(args.digits)))
+        value = factoradic.to_natural(factoradic.parse(args.digits))
+        if value >= 10 ** DIGIT_LIMIT:
+            raise UsageError(_over_limit("the result", _decimal_digits(value)))
+        print(value)
     else:
         if args.n < 0:
             raise UsageError("n must be nonnegative")

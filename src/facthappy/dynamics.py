@@ -13,7 +13,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import factorial
 
-from .factoradic import FactoradicRep, digit_count, to_factoradic
+from .factoradic import (
+    _SPLIT_BITS, FactoradicRep, _split_digits, digit_count, to_factoradic)
 
 DEFAULT_ORBIT_CAP = 10_000
 _ATLAS_ENTRY_LIMIT = 1_000_000  # admits e = 6 (446,964), refuses e = 7
@@ -37,10 +38,16 @@ def happy_step(d: FactoradicRep, e: int) -> int:
 
 
 def happy_step_nat(n: int, e: int) -> int:
-    """One step of the digit-power map applied to a nonnegative integer."""
+    """One step of the digit-power map applied to a nonnegative integer.
+
+    An n over _SPLIT_BITS bits takes its digits from the split
+    conversion; below that one loop divides and sums as it goes.
+    """
     _check_exponent(e)
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
+    if n.bit_length() > _SPLIT_BITS:
+        return sum(a ** e for a in _split_digits(n))
     total = 0
     radix = 2
     while n:

@@ -16,7 +16,16 @@ The textual form is big-endian, '.'-separated, '!'-terminated:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma, log, perm
 from typing import Iterable, Iterator
+
+# Integers over this many bits are split by products of consecutive
+# radices (see _split_digits), and split blocks are cut down to at most
+# this many bits before the one-radix-at-a-time loop runs on them. The
+# loop stops losing to the split between about 1,200 and 1,600 bits
+# (2-core x86-64, Python 3.11.7).
+_SPLIT_BITS = 1536
+_LN2 = log(2)
 
 
 class MalformedRepresentationError(ValueError):
@@ -54,10 +63,98 @@ class FactoradicRep:
 ZERO = FactoradicRep(())
 
 
+def _cut(lo: int, hi: int, target: float) -> int:
+    """Least m in (lo, hi] with ln(lo * (lo+1) * ... * (m-1)) >= target.
+
+    Returns hi when the whole product stays below the target. The
+    logarithm only balances a split; the digits stay exact either way.
+    """
+    base = lgamma(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lgamma(mid) - base < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _mid(lo: int, hi: int) -> int:
+    """Split point of the radices lo..hi-1, halving their log product.
+
+    0 when their product has at most _SPLIT_BITS bits: a leaf block.
+    """
+    size = lgamma(hi) - lgamma(lo)
+    if size <= _SPLIT_BITS * _LN2:
+        return 0
+    return _cut(lo, hi - 1, size / 2)
+
+
+def _fill(n: int, lo: int, hi: int, out: list[int]) -> None:
+    """Append exactly hi - lo digits of n < lo * ... * (hi-1), radix lo first."""
+    mid = _mid(lo, hi)
+    if not mid:
+        for radix in range(lo, hi):
+            n, r = divmod(n, radix)
+            out.append(r)
+        return
+    # perm(mid - 1, mid - lo) is lo * ... * (mid-1), by a product tree.
+    q, r = divmod(n, perm(mid - 1, mid - lo))
+    _fill(r, lo, mid, out)
+    _fill(q, mid, hi, out)
+
+
+def _split_digits(n: int) -> list[int]:
+    """Factoradic digits of n >= 0, little-endian with a nonzero top digit.
+
+    While n has over _SPLIT_BITS bits, divide it by P, the product of the
+    next k radices with P about sqrt(n): the remainder gives exactly k
+    digits, split the same way, and the quotient carries on from the
+    radix k places up. Python 3.11 divides big integers by schoolbook
+    long division, so this is still quadratic; it gains a constant
+    factor over one radix at a time (about 8x at 32,000 decimal digits).
+    """
+    out: list[int] = []
+    radix = 2
+    while n.bit_length() > _SPLIT_BITS:
+        # Every radix is at least 2, so bit_length radices pass sqrt(n).
+        hi = _cut(radix, radix + n.bit_length(), n.bit_length() * _LN2 / 2)
+        n, r = divmod(n, perm(hi - 1, hi - radix))
+        _fill(r, radix, hi, out)
+        radix = hi
+    while n:
+        n, r = divmod(n, radix)
+        out.append(r)
+        radix += 1
+    return out
+
+
+def _join(digits: tuple[int, ...], lo: int, hi: int) -> int:
+    """Value of the digits for the radices lo..hi-1: low + P * high."""
+    mid = _mid(lo, hi)
+    if not mid:
+        total = 0
+        for radix in range(hi - 1, lo - 1, -1):
+            total = total * radix + digits[radix - 2]
+        return total
+    return (_join(digits, lo, mid)
+            + perm(mid - 1, mid - lo) * _join(digits, mid, hi))
+
+
+# Digit strings longer than this evaluate by _join: their value can
+# exceed _SPLIT_BITS bits.
+_SPLIT_DIGITS = _cut(2, _SPLIT_BITS, _SPLIT_BITS * _LN2) - 2
+
+
 def to_factoradic(n: int) -> FactoradicRep:
-    """Digits of n >= 0 by successive division (radix 2, 3, 4, ...)."""
+    """Digits of n >= 0 by successive division (radix 2, 3, 4, ...).
+
+    Over _SPLIT_BITS bits, n is split first by products of radices.
+    """
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
+    if n.bit_length() > _SPLIT_BITS:
+        return FactoradicRep(tuple(_split_digits(n)))
     out = []
     radix = 2
     while n:
@@ -72,9 +169,13 @@ def to_natural(d: FactoradicRep | Iterable[int]) -> int:
 
     Accepts a FactoradicRep or a raw little-endian digit iterable; raw
     sequences are validated first (digit bounds, nonzero top digit).
+    Strings over _SPLIT_DIGITS digits are joined from two halves as
+    low + P * high, P the product of the radices of the low half.
     """
     if not isinstance(d, FactoradicRep):
         d = FactoradicRep(tuple(d))
+    if len(d.digits) > _SPLIT_DIGITS:
+        return _join(d.digits, 2, len(d.digits) + 2)
     total = 0
     fact = 1
     for i, a in enumerate(d.digits, start=1):
@@ -87,6 +188,8 @@ def digit_count(n: int) -> int:
     """Number of factoradic digits of n >= 0 (0 has none)."""
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
+    if n.bit_length() > _SPLIT_BITS:
+        return len(_split_digits(n))
     count = 0
     radix = 2
     while n:
@@ -113,12 +216,21 @@ def add(d: FactoradicRep, y: int) -> FactoradicRep:
 
     y is carried in from the 1! place: position i keeps (digit + y) mod
     (i + 2) and passes the quotient up as the new y. The last digit
-    written is a nonzero remainder, so no top zero can form.
+    written is a nonzero remainder, so no top zero can form. A y over
+    _SPLIT_BITS bits is converted first and added digit by digit, and
+    only the last carry goes on up.
     """
     if y < 0:
         raise ValueError(f"addend must be nonnegative, got {y}")
     out = list(d.digits)
     i = 0
+    if y.bit_length() > _SPLIT_BITS:
+        ys = _split_digits(y)
+        out += [0] * (len(ys) - len(out))
+        y = 0
+        for i, a in enumerate(ys):
+            y, out[i] = divmod(out[i] + a + y, i + 2)
+        i = len(ys)
     while y:
         if i == len(out):
             out.append(0)

@@ -9,6 +9,48 @@ from facthappy.dynamics import happy_step_nat, step_image_bound, _step_images
 _ATLASES = {}
 
 
+def loop_digits(n):
+    """Factoradic digits of n >= 0, one radix at a time: the definition.
+
+    The division loop the package runs below its split threshold, kept
+    here as the oracle for the split conversion at any size.
+    """
+    out = []
+    radix = 2
+    while n:
+        n, r = divmod(n, radix)
+        out.append(r)
+        radix += 1
+    return tuple(out)
+
+
+def loop_step(n, e):
+    """Step map by its definition: the e-th powers of the loop digits."""
+    return sum(a ** e for a in loop_digits(n))
+
+
+def loop_natural(digits):
+    """Value of little-endian factoradic digits, one factorial at a time."""
+    total = 0
+    fact = 1
+    for i, a in enumerate(digits, start=1):
+        fact *= i
+        total += a * fact
+    return total
+
+
+def loop_add(digits, y):
+    """Digits of digits + y, y carried in from the 1! place one radix at a time."""
+    out = list(digits)
+    i = 0
+    while y:
+        if i == len(out):
+            out.append(0)
+        y, out[i] = divmod(out[i] + y, i + 2)
+        i += 1
+    return tuple(out)
+
+
 @pytest.fixture(scope="session")
 def atlas():
     """Factory for attractor atlases, cached across the whole session."""

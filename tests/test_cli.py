@@ -4,7 +4,8 @@ import subprocess
 import sys
 import time
 
-from facthappy import cli, dynamics
+from conftest import loop_digits
+from facthappy import cli, dynamics, factoradic
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +240,34 @@ def test_oversized_exponent_refused_in_subprocess():
             timeout=30)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert f"exponent {e}" in proc.stderr
+
+
+def test_integer_arguments_over_digit_limit_refused_briefly(capsys):
+    over = "9" * (cli.DIGIT_LIMIT + 1)
+    for argv in (("convert", over), ("orbit", over, "--e", "2"),
+                 ("density", "--e", "2", "--upper", "+" + over)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err) < 200
+        assert "4,301 decimal digits" in err and "4,300" in err
+
+
+def test_convert_result_over_digit_limit_refused(capsys):
+    text = factoradic.format(factoradic.FactoradicRep(
+        loop_digits(10 ** cli.DIGIT_LIMIT)))
+    code, out, err = run_cli(capsys, "convert", "--digits", text)
+    assert (code, out) == (1, "")
+    assert err == ("error: the result has 4,301 decimal digits, "
+                   "over the limit of 4,300\n")
+
+
+def test_convert_at_digit_limit_is_byte_identical(capsys):
+    n = 10 ** cli.DIGIT_LIMIT - 1
+    text = ".".join(str(a) for a in reversed(loop_digits(n))) + "!"
+    code, out, _ = run_cli(capsys, "convert", "9" * cli.DIGIT_LIMIT)
+    assert (code, out) == (0, text + "\n")
+    code, out, _ = run_cli(capsys, "convert", "--digits", text)
+    assert (code, out) == (0, "9" * cli.DIGIT_LIMIT + "\n")
 
 
 def test_identical_argv_identical_bytes(capsys):
