@@ -150,10 +150,7 @@ def _cmd_attractors(args) -> int:
     print(f"e: {atlas.e}")
     print(f"bound: {atlas.bound}")
     print("fixed points: " + ", ".join(str(p) for p in atlas.fixed_points))
-    if atlas.cycles:
-        print("cycles: " + ", ".join(att.text for att in atlas.cycles))
-    else:
-        print("cycles: none")
+    print("cycles: " + (", ".join(att.text for att in atlas.cycles) or "none"))
     return 0
 
 
@@ -257,13 +254,8 @@ _DISPATCH = {
     "density": _cmd_density,
 }
 
-_FAILURES = (
-    dynamics.CertificationError,
-    dynamics.OrbitCapError,
-    towers.WitnessError,
-    towers.ReplayError,
-    towers.SizeCapError,
-)
+_FAILURES = (dynamics.CertificationError, dynamics.OrbitCapError,
+             towers.WitnessError, towers.ReplayError, towers.SizeCapError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -277,10 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code or 0
     try:
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _FAILURES as exc:

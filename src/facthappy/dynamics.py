@@ -3,8 +3,8 @@
 The map under study sends n to the sum of the e-th powers of its
 factoradic digits (0 maps to 0). This module provides the map itself,
 orbit classification with exact step counts, a certified bound above
-which the map strictly decreases, and the full atlas of fixed points
-and cycles obtained by sweeping the interval below that bound.
+which the map strictly decreases, a digit DP tallying step values, and
+the atlas of fixed points and cycles found on the step images below it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ from .factoradic import (
     _SPLIT_BITS, FactoradicRep, _split_digits, digit_count, to_factoradic)
 
 DEFAULT_ORBIT_CAP = 10_000
-_ATLAS_ENTRY_LIMIT = 1_000_000  # admits e = 6 (446,964), refuses e = 7
+# Most dictionary updates a step-sum tally may need: it admits density
+# at e = 5 to 14! - 1 and e >= 6 to 13! - 1, and the atlas for e <= 8.
+DENSITY_WORK_LIMIT = 15 * 10 ** 6
+_LOW = 5040  # 7!: the atlas tabulates step sums of the six lowest digits
 # Largest exponent smallest_j and classify accept: at e = 200 a default
 # cap orbit of 2021 gives up after 3-5 s, and the cost grows with e.
 EXPONENT_LIMIT = 200
@@ -228,18 +231,79 @@ def _step_images(e: int, lo: int, hi: int) -> Iterator[int]:
         yield psum
 
 
-class AttractorAtlas:
-    """Classification of every positive integer, memoized on [1, memo_bound].
+def _density_work(e: int, width: int) -> int:
+    """Bound on the dictionary updates of a tally over width positions.
 
-    bound is the certified descent threshold for e, and memo_bound is the
-    largest one-step image of a value up to bound: the memo is closed
-    under the step map, and larger values step down into it first. The
-    atlas is immutable after construction and safe to share across threads.
+    The sums over i - 1 free positions number at most one more than
+    their largest value and at most Catalan(i), the count of digit
+    multisets those positions admit; position i touches each of them
+    at most i + 2 times (i + 1 shifts of low, one of tally). Stops
+    early once over DENSITY_WORK_LIMIT.
+    """
+    work = 0
+    top = 0
+    catalan = 1
+    for i in range(1, width + 1):
+        work += (i + 2) * min(top + 1, catalan)
+        if work > DENSITY_WORK_LIMIT:
+            break
+        top += i ** e
+        catalan = catalan * 2 * (2 * i + 1) // (i + 2)
+    return work
+
+
+def _shift_into(dst: dict[int, int], src: dict[int, int], by: int) -> None:
+    get = dst.get
+    for s, c in src.items():
+        dst[s + by] = get(s + by, 0) + c
+
+
+def step_sum_tally(e: int, upper: int) -> dict[int, int]:
+    """Map each step value of an n in [0, upper] to how many n have it.
+
+    A digit DP over the factoradic digits of upper. low maps each step
+    sum of the positions below i, all digits free, to how many digit
+    strings give it; tally does the same for the n in [0, upper mod i!].
+    Position i, where upper has digit d, extends both: an n whose digit
+    there is some a < d has a free lower part, one whose digit is d
+    continues the old tally. Cost follows the distinct sums, not upper;
+    over DENSITY_WORK_LIMIT by _density_work it raises ValueError first.
+    """
+    _check_exponent(e)
+    digits = to_factoradic(upper).digits
+    if _density_work(e, len(digits)) > DENSITY_WORK_LIMIT:
+        raise ValueError(
+            f"tallying the step sums up to upper={upper} at e={e} may take "
+            f"over {DENSITY_WORK_LIMIT:,} dictionary updates")
+    low, tally = {0: 1}, {0: 1}
+    for i, d in enumerate(digits, start=1):
+        powers = [a ** e for a in range(i + 1)]
+        grown: dict[int, int] = {}
+        for a in range(d):
+            _shift_into(grown, low, powers[a])
+        below = dict(grown)
+        _shift_into(below, tally, powers[d])
+        tally = below
+        if i < len(digits):
+            for a in range(d, i + 1):
+                _shift_into(grown, low, powers[a])
+            low = grown
+    return tally
+
+
+class AttractorAtlas:
+    """Classification of every positive integer, stored for the image set Im.
+
+    bound is the certified descent threshold for e, and memo_bound the
+    largest one-step image of a value up to bound. Every n >= 1 steps
+    into [1, memo_bound], and one more step into Im = S([1, memo_bound]),
+    which is closed under the map and holds every attractor member; any
+    other value steps until it meets Im. Immutable and thread-safe.
     """
 
     def __init__(self, e: int, bound: int, memo_bound: int,
                  attractors: tuple[Attractor, ...],
-                 index: list[int], steps: list[int]):
+                 index: dict[int, int], steps: dict[int, int]):
         self.e = e
         self.bound = bound
         self.memo_bound = memo_bound
@@ -249,19 +313,21 @@ class AttractorAtlas:
         self.cycles = tuple(a for a in attractors if not a.is_fixed_point)
         self._index = index
         self._steps = steps
+        self._low = list(_step_images(e, 0, _LOW - 1))
 
     def _resolve(self, n: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[int, int]:
         """(attractor index, steps to reach it) for any n >= 1."""
         if n < 1:
             raise ValueError(f"expected a positive integer, got {n}")
+        index = self._index
         v, total = n, 0
-        while v > self.memo_bound:
+        while v not in index:
             v = happy_step_nat(v, self.e)
             total += 1
             if total > cap:
                 raise OrbitCapError(
                     f"orbit of {n} under e={self.e} exceeded {cap} steps")
-        return self._index[v], total + self._steps[v]
+        return index[v], total + self._steps[v]
 
     def attractor_index(self, n: int) -> int:
         return self._resolve(n)[0]
@@ -271,94 +337,94 @@ class AttractorAtlas:
         index, steps = self._resolve(n)
         return self.attractors[index], steps
 
-    def extended_index_table(self, upper: int) -> list[int]:
-        """Attractor-index table covering [1, max(upper, memo_bound)].
+    def totals(self, tally: dict[int, int]) -> list[int]:
+        """Summed counts per attractor index of a {value >= 1: count} tally.
 
-        Entry 0 is unused (-1). Above memo_bound each value resolves
-        through a single step, which lands in the memo for a value up
-        to bound and strictly lower above it by the certified descent,
-        so one forward pass fills the extension. Returns the internal
-        table when it already suffices; treat the result as read-only.
-        An upper over _ATLAS_ENTRY_LIMIT raises ValueError up front.
+        A value outside Im steps until it meets Im; each step reads the
+        sum of its six lowest digits from a table over [0, 7! - 1].
         """
-        if upper <= self.memo_bound:
-            return self._index
-        if upper > _ATLAS_ENTRY_LIMIT:
-            raise ValueError(
-                f"an index table up to {upper} would hold over the limit "
-                f"of {_ATLAS_ENTRY_LIMIT:,} values")
-        table = list(self._index)
+        if min(tally, default=1) < 1:
+            raise ValueError("tally values must be positive integers")
+        e, index, low = self.e, self._index, self._low
+        totals = [0] * len(self.attractors)
+        for v, c in tally.items():
+            while v not in index:
+                v, r = divmod(v, _LOW)
+                s = low[r]
+                radix = 8
+                while v:
+                    v, r = divmod(v, radix)
+                    s += r ** e
+                    radix += 1
+                v = s
+            totals[index[v]] += c
+        return totals
+
+    def extended_index_table(self, upper: int) -> list[int]:
+        """Attractor-index table covering [1, upper]; entry 0 is unused (-1).
+
+        A value up to memo_bound is read through its image, which is in
+        Im; above memo_bound every image is smaller than its value, so
+        one forward pass fills the rest. Callers bound upper.
+        """
+        covered = min(upper, self.memo_bound)
+        table = [-1]
+        table += map(self._index.__getitem__, _step_images(self.e, 1, covered))
         append = table.append
-        for s in _step_images(self.e, self.memo_bound + 1, upper):
+        for s in _step_images(self.e, covered + 1, upper):
             append(table[s])
         return table
 
 
 def enumerate_attractors(e: int) -> AttractorAtlas:
-    """Classify [1, M] for the certified bound M, collecting every attractor.
+    """Classify the image set Im, collecting every attractor.
 
     Fixed points come first in ascending order, then cycles ordered by
-    smallest member. Refuses to run on an exponent whose certificate
-    failed, since the sweep interval would prove nothing. Time and
-    memory are linear in the bound (j+1)! - 1, which grows factorially
-    in e; over _ATLAS_ENTRY_LIMIT values (e >= 7) it raises ValueError.
+    smallest member. Refuses an exponent whose certificate failed. Im
+    is the key set of step_sum_tally(e, memo_bound) without 0, so e over
+    EXPONENT_LIMIT, or e >= 9, whose tally is over DENSITY_WORK_LIMIT,
+    raises ValueError before any work.
     """
-    # Search j (see smallest_j) only while (j+1)! - 1 fits the limit;
-    # j! <= j^(j-1) means j > e, so a huge e fails fast.
-    _check_exponent(e)
-    j = fact = 1
-    while not (e < j and fact > j ** (e - 1)):
-        j += 1
-        fact *= j
-        if fact * (j + 1) - 1 > _ATLAS_ENTRY_LIMIT:
-            raise ValueError(
-                f"exponent {e}: the atlas needs at least {fact * (j + 1) - 1:,}"
-                f" entries, over the limit of {_ATLAS_ENTRY_LIMIT:,}")
     bound = descent_bound(e)
     if not bound.certificate_ok:
         raise CertificationError(
             f"exponent {e}: certificate checks failed: "
             + ", ".join(bound.failed_checks))
     m = bound.bound
-    # Walk from all of [1, memo_bound]: it is closed under the step map.
     memo_bound = step_image_bound(e, m)
-    img = list(_step_images(e, 0, memo_bound))
-    index = [-1] * (memo_bound + 1)
-    steps = [0] * (memo_bound + 1)
+    try:
+        index = dict.fromkeys(step_sum_tally(e, memo_bound), -1)
+    except ValueError as exc:
+        raise ValueError(f"exponent {e}: the atlas is too large: {exc}") from None
+    del index[0]
+    steps: dict[int, int] = {}
     found: list[tuple[int, ...]] = []
     # Each walk stamps what it visits with -2 - n and stops at the first
     # value not -1; meeting its own stamp closes a new attractor.
-    for n in range(1, memo_bound + 1):
+    for n in index:
         path: list[int] = []
         v = n
         while index[v] == -1:
             index[v] = -2 - n
             path.append(v)
-            v = img[v]
+            v = happy_step_nat(v, e)
         if index[v] == -2 - n:
             k = path.index(v)
-            a = len(found)
-            found.append(tuple(path[k:]))
             for mv in path[k:]:
-                index[mv] = a
+                index[mv], steps[mv] = len(found), 0
+            found.append(tuple(path[k:]))
             del path[k:]
-            s = 0
-        else:
-            a = index[v]
-            s = steps[v]
+        a, s = index[v], steps[v]
         for pv in reversed(path):
             s += 1
             index[pv] = a
             steps[pv] = s
     canon = [Attractor.cycle(members) for members in found]
-    order = sorted(range(len(canon)), key=lambda a: (
-        not canon[a].is_fixed_point, canon[a].members[0]))
-    attractors = tuple(canon[a] for a in order)
-    remap = [0] * len(order)
-    for new, old in enumerate(order):
-        remap[old] = new
-    for n in range(1, memo_bound + 1):
-        index[n] = remap[index[n]]
+    attractors = tuple(sorted(canon, key=lambda att: (
+        not att.is_fixed_point, att.members[0])))
+    remap = [attractors.index(att) for att in canon]
+    for v, a in index.items():
+        index[v] = remap[a]
     return AttractorAtlas(e, m, memo_bound, attractors, index, steps)
 
 

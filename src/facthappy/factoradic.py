@@ -240,20 +240,28 @@ def add(d: FactoradicRep, y: int) -> FactoradicRep:
 
 
 def parse(text: str) -> FactoradicRep:
-    """Parse the '.'-separated, '!'-terminated big-endian digit format."""
+    """Parse the '.'-separated, '!'-terminated big-endian digit format.
+
+    A token longer than the largest digit its position allows is refused
+    before int() reads it. Errors quote at most 40 characters.
+    """
     if not text.endswith("!"):
-        raise MalformedRepresentationError(f"missing '!' terminator: {text!r}")
+        raise MalformedRepresentationError(
+            f"missing '!' terminator after {text[-40:]!r}")
     body = text[:-1]
     if body == "0":
         return ZERO
     tokens = body.split(".")
     values = []
-    for tok in tokens:
-        if not tok.isdigit() or (len(tok) > 1 and tok[0] == "0"):
-            raise MalformedRepresentationError(f"bad digit token {tok!r} in {text!r}")
+    for pos, tok in zip(range(len(tokens), 0, -1), tokens):
+        if (not tok.isdigit() or (len(tok) > 1 and tok[0] == "0")
+                or len(tok) > len(str(pos))):
+            raise MalformedRepresentationError(
+                f"bad digit token {tok[:40]!r} at position {pos}")
         values.append(int(tok))
     if values[0] == 0:
-        raise MalformedRepresentationError(f"leading zero digit in {text!r}")
+        raise MalformedRepresentationError(
+            f"leading zero digit at position {len(tokens)}")
     return FactoradicRep(tuple(reversed(values)))
 
 

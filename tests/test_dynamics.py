@@ -1,10 +1,13 @@
 import math
 import random
+import time
+from collections import Counter
 
 import pytest
 
 from facthappy import dynamics
 from facthappy.dynamics import (
+    DENSITY_WORK_LIMIT,
     EXPONENT_LIMIT,
     Attractor,
     CertificationError,
@@ -18,10 +21,11 @@ from facthappy.dynamics import (
     iterate,
     smallest_j,
     step_image_bound,
-    _ATLAS_ENTRY_LIMIT,
+    step_sum_tally,
+    _density_work,
     _step_images,
 )
-from facthappy.factoradic import to_factoradic
+from facthappy.factoradic import digit_count, to_factoradic
 
 # Fixed points and cycles for each certified exponent, in canonical form.
 EXPECTED_ATLAS = {
@@ -35,6 +39,17 @@ EXPECTED_ATLAS = {
 EXPECTED_BOUND = {1: 5, 2: 23, 3: 119, 4: 5039, 5: 40319, 6: 362879}
 EXPECTED_TAIL_OFFSET = {1: 0, 2: 0, 3: -13, 4: -260, 5: -7162, 6: -144501}
 EXPECTED_MEMO_BOUND = {1: 3, 2: 14, 3: 100, 4: 2275, 5: 29008, 6: 446964}
+# Beyond the paper's e <= 6: fixed points, and each cycle's least member
+# with its length.
+EXPECTED_ATLAS_BEYOND = {
+    7: ((1, 130, 131, 2318, 2319, 2939396, 2939397, 3205134, 3205135),
+        ((4631, 3), (16387, 2), (18828, 8), (18956, 2), (298639, 5))),
+    8: ((1, 528260, 528261, 2201570, 2201571),
+        ((66052, 65), (6352547, 3))),
+}
+# |Im|, Im = S([1, memo_bound]), the values the atlas stores.
+EXPECTED_IMAGE_SET_SIZE = {1: 2, 2: 6, 3: 31, 4: 193, 5: 779, 6: 5290,
+                           7: 28244, 8: 122664}
 
 
 def test_happy_step_examples():
@@ -220,13 +235,74 @@ def test_atlas_matches_oracle_sampled_e6(atlas):
         _assert_matches_oracle(at, n)
 
 
-def test_atlas_limit_admits_e6_refuses_e7(atlas):
-    assert max(atlas(e).memo_bound for e in range(1, 7)) <= _ATLAS_ENTRY_LIMIT
-    bound_e7 = descent_bound(7)
-    assert bound_e7.certificate_ok and bound_e7.bound > _ATLAS_ENTRY_LIMIT
-    for e in (7, 8, 10 ** 6):
-        with pytest.raises(ValueError, match=f"exponent {e}: the atlas needs"):
+def test_atlas_limit_admits_e8_refuses_e9():
+    # The one work limit: the step-sum tally over [0, memo_bound] fits it
+    # up to e = 8; EXPONENT_LIMIT refuses a huge e before any tally.
+    for e in range(1, 10):
+        memo_bound = step_image_bound(e, descent_bound(e).bound)
+        work = _density_work(e, digit_count(memo_bound))
+        assert (work <= DENSITY_WORK_LIMIT) == (e <= 8)
+    for e in (9, 10, EXPONENT_LIMIT, EXPONENT_LIMIT + 1, 10 ** 6):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^exponent {e}[: ]"):
             enumerate_attractors(e)
+        assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_atlas_stores_exactly_the_closed_image_set(e, atlas):
+    at = atlas(e)
+    image_set = set(step_sum_tally(e, at.memo_bound)) - {0}
+    if e <= 6:  # by definition: stream every n in [1, memo_bound]
+        assert image_set == set(_step_images(e, 1, at.memo_bound))
+    assert len(image_set) == EXPECTED_IMAGE_SET_SIZE[e]
+    assert set(at._index) == set(at._steps) == image_set
+    assert all(happy_step_nat(v, e) in image_set for v in image_set)
+    for att in at.attractors:
+        assert set(att.members) <= image_set
+
+
+def test_step_sum_tally_matches_stream():
+    for e in (1, 2, 5):
+        for upper in (0, 1, 5, 23, 24, 719, 5000, math.factorial(8) + 17):
+            assert step_sum_tally(e, upper) == Counter(_step_images(e, 0, upper))
+
+
+def test_totals_match_attractor_index(atlas):
+    rng = random.Random(5040)
+    for e in (2, 5, 6, 7):
+        at = atlas(e)
+        tally = {rng.randrange(1, 10 ** rng.randrange(1, 40)): rng.randrange(1, 9)
+                 for _ in range(2000)}
+        expected = [0] * len(at.attractors)
+        for v, c in tally.items():
+            expected[at.attractor_index(v)] += c
+        assert at.totals(tally) == expected
+        assert at.totals({}) == [0] * len(at.attractors)
+
+
+def test_totals_rejects_nonpositive_values(atlas):
+    at = atlas(2)
+    for value in (0, -5):
+        with pytest.raises(ValueError, match="positive"):
+            at.totals({3: 1, value: 1})
+
+
+@pytest.mark.parametrize("e", (7, 8))
+def test_atlas_beyond_the_paper(e, atlas):
+    at = atlas(e)
+    fixed, cycles = EXPECTED_ATLAS_BEYOND[e]
+    assert at.fixed_points == fixed
+    assert [(c.members[0], len(c.members)) for c in at.cycles] == list(cycles)
+    for p in at.fixed_points:
+        assert happy_step_nat(p, e) == p
+    for cyc in at.cycles:
+        ms = cyc.members
+        for a, b in zip(ms, ms[1:] + ms[:1]):
+            assert happy_step_nat(a, e) == b
+    rng = random.Random(e)
+    for n in [rng.randrange(1, 10 ** 12) for _ in range(300)]:
+        _assert_matches_oracle(at, n)
 
 
 def test_enumerate_attractors_refuses_failed_certificate(monkeypatch):
@@ -320,7 +396,7 @@ def test_parity_identity_spot():
 
 
 def test_fixed_points_above_one_pair_up(atlas):
-    for e in range(1, 7):
+    for e in range(1, 9):
         big = [p for p in atlas(e).fixed_points if p > 1]
         assert len(big) % 2 == 0
         for lo, hi in zip(big[::2], big[1::2]):

@@ -183,6 +183,26 @@ def test_verify_concrete_handles_small_depth_two_chain(atlas):
     verify_concrete(cert)
 
 
+@pytest.mark.parametrize("key", sorted(WITNESSES) + [(1, 1, 1)])
+def test_replay_agrees_with_verify_concrete(key, atlas):
+    # Every chain that expands under the cap (depth <= 1, and the small
+    # depth-2 towers of e = 1) must take the replayed step counts on its
+    # explicit digit string too.
+    e, p, offset = key
+    witness = nice_check(e, p, offset, atlas(e))
+    expanded = set()
+    for m in range(1, 21):
+        cert = build_sequence(e, p, m, witness, atlas(e))
+        replayed = {i: replay_run(cert, i) for i in range(1, m + 1)}
+        assert replayed == cert.steps_by_index
+        try:
+            verify_concrete(cert, size_cap=10 ** 6)
+            expanded.add(cert.chain.depth)
+        except SizeCapError:
+            assert cert.chain.depth >= 2
+    assert expanded >= ({0, 1, 2} if e == 1 else {0, 1})
+
+
 def test_certificate_json_golden(atlas):
     witness = nice_check(2, 1, 20, atlas(2))
     cert = build_sequence(2, 1, 3, witness, atlas(2))
