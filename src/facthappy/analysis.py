@@ -64,6 +64,8 @@ def _fixed_point_index(atlas: AttractorAtlas, p: int) -> int:
 
 def is_p_happy(n: int, e: int, p: int, atlas: AttractorAtlas | None = None) -> bool:
     """Does the orbit of n settle on the fixed point p?"""
+    if p < 1:
+        raise ValueError(f"fixed point must be a positive integer, got {p}")
     if atlas is not None:
         _fixed_point_index(atlas, p)
     elif happy_step_nat(p, e) != p:
@@ -80,9 +82,9 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     search above the trivial fixed point 1; pass 1 for the full search.
     The sweep keeps the current run start; a miss resets it. Memory is
     one table entry per integer up to the cap, and a search_cap over
-    DEFAULT_SEARCH_CAP raises ValueError before the table is built. Unresolved
-    lengths are reported by a RunSearch with complete=False rather
-    than an error.
+    DEFAULT_SEARCH_CAP or below search_floor raises ValueError before
+    the table is built. Unresolved lengths are reported by a RunSearch
+    with complete=False rather than an error.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
@@ -93,6 +95,9 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     if search_cap > DEFAULT_SEARCH_CAP:
         raise ValueError(f"search cap {search_cap} is over the limit of "
                          f"{DEFAULT_SEARCH_CAP:,}")
+    if search_cap < search_floor:
+        raise ValueError(f"search cap {search_cap} is below the search "
+                         f"floor {search_floor}")
     target = _fixed_point_index(atlas, p)
     table = atlas.extended_index_table(search_cap)
     starts: dict[int, int] = {}

@@ -9,7 +9,6 @@ the atlas of fixed points and cycles found on the step images below it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import factorial
 
@@ -200,37 +199,6 @@ def step_image_bound(e: int, upper: int) -> int:
     return sum(i ** e for i in range(1, digit_count(upper) + 1))
 
 
-def _step_images(e: int, lo: int, hi: int) -> Iterator[int]:
-    """Yield step(n) for n in lo..hi via an incrementing factoradic counter.
-
-    Bumping the counter touches O(1) digit positions amortized, so this
-    is much cheaper than a division loop per value. Digits sit in a
-    fixed-width list sized for hi; position idx holds the (idx+1)!-place
-    digit, bounded by idx + 1. Nothing is yielded when hi < lo.
-    """
-    if hi < lo:
-        return
-    width = digit_count(hi) + 1
-    digits = list(to_factoradic(lo).digits)
-    digits += [0] * (width - len(digits))
-    powers = [a ** e for a in range(width + 1)]
-    inc = [0] + [powers[a] - powers[a - 1] for a in range(1, width + 1)]
-    psum = sum(powers[a] for a in digits)
-    yield psum
-    for _ in range(lo, hi):
-        idx = 0
-        while True:
-            d = digits[idx]
-            if d <= idx:
-                digits[idx] = d + 1
-                psum += inc[d + 1]
-                break
-            digits[idx] = 0
-            psum -= powers[d]
-            idx += 1
-        yield psum
-
-
 def _density_work(e: int, width: int) -> int:
     """Bound on the dictionary updates of a tally over width positions.
 
@@ -291,6 +259,22 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
     return tally
 
 
+def _step_sum(v: int, e: int, low: list[int]) -> int:
+    """Step of v >= 0, given low, the step sums of [0, 7! - 1].
+
+    low[v mod 7!] covers the six lowest digits; the digits from the 7!
+    place up add their e-th powers.
+    """
+    v, r = divmod(v, _LOW)
+    s = low[r]
+    radix = 8
+    while v:
+        v, r = divmod(v, radix)
+        s += r ** e
+        radix += 1
+    return s
+
+
 class AttractorAtlas:
     """Classification of every positive integer, stored for the image set Im.
 
@@ -313,7 +297,12 @@ class AttractorAtlas:
         self.cycles = tuple(a for a in attractors if not a.is_fixed_point)
         self._index = index
         self._steps = steps
-        self._low = list(_step_images(e, 0, _LOW - 1))
+        # Step sums of [0, 7! - 1]: position i (1..6) repeats the sums
+        # below it once for each digit a <= i, shifted by a ** e.
+        low = [0]
+        for i in range(1, 7):
+            low = [s + p for p in [a ** e for a in range(i + 1)] for s in low]
+        self._low = low
 
     def _resolve(self, n: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[int, int]:
         """(attractor index, steps to reach it) for any n >= 1."""
@@ -340,8 +329,7 @@ class AttractorAtlas:
     def totals(self, tally: dict[int, int]) -> list[int]:
         """Summed counts per attractor index of a {value >= 1: count} tally.
 
-        A value outside Im steps until it meets Im; each step reads the
-        sum of its six lowest digits from a table over [0, 7! - 1].
+        A value outside Im steps until it meets Im.
         """
         if min(tally, default=1) < 1:
             raise ValueError("tally values must be positive integers")
@@ -349,30 +337,32 @@ class AttractorAtlas:
         totals = [0] * len(self.attractors)
         for v, c in tally.items():
             while v not in index:
-                v, r = divmod(v, _LOW)
-                s = low[r]
-                radix = 8
-                while v:
-                    v, r = divmod(v, radix)
-                    s += r ** e
-                    radix += 1
-                v = s
+                v = _step_sum(v, e, low)
             totals[index[v]] += c
         return totals
 
     def extended_index_table(self, upper: int) -> list[int]:
         """Attractor-index table covering [1, upper]; entry 0 is unused (-1).
 
-        A value up to memo_bound is read through its image, which is in
-        Im; above memo_bound every image is smaller than its value, so
-        one forward pass fills the rest. Callers bound upper.
+        The table is filled in blocks of 7! values that share their
+        digits from the 7! place up, so the step of base + r is the
+        block's high sum plus the step of r. A value up to memo_bound is
+        read through its image, which is in Im; above memo_bound every
+        image is smaller than its value, so it is read from the table.
+        Callers bound upper.
         """
         covered = min(upper, self.memo_bound)
+        e, index, low = self.e, self._index, self._low
         table = [-1]
-        table += map(self._index.__getitem__, _step_images(self.e, 1, covered))
         append = table.append
-        for s in _step_images(self.e, covered + 1, upper):
-            append(table[s])
+        for base in range(0, upper + 1, _LOW):
+            high = _step_sum(base, e, low)
+            start = 0 if base else 1
+            end = min(_LOW, upper + 1 - base)
+            split = max(start, min(end, covered + 1 - base))
+            table += [index[high + s] for s in low[start:split]]
+            for s in low[split:end]:
+                append(table[high + s])
         return table
 
 
@@ -436,11 +426,13 @@ def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,
     visited map and detects the first repeat. steps_to_attractor is the
     least step count whose iterate lies on the attractor. trace
     additionally records the values from n up to and including the
-    attractor entry point. Exponents above EXPONENT_LIMIT raise
-    ValueError.
+    attractor entry point. Exponents above EXPONENT_LIMIT and a
+    negative cap raise ValueError.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
+    if cap < 0:
+        raise ValueError(f"orbit cap must be nonnegative, got {cap}")
     _check_exponent_limit(e)
     if atlas is not None:
         if atlas.e != e:

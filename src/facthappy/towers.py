@@ -94,6 +94,8 @@ def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas, *,
     """
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
+    if cap < 0:
+        raise ValueError(f"step cap must be nonnegative, got {cap}")
     if p not in atlas.fixed_points:
         raise WitnessError(f"{p} is not a fixed point for e={e}")
     members = sorted(

@@ -1,10 +1,12 @@
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
 
 from facthappy import enumerate_attractors
 from facthappy.analysis import DensityReport
-from facthappy.dynamics import happy_step_nat, step_image_bound, _step_images
+from facthappy.dynamics import happy_step_nat, step_image_bound
+from facthappy.factoradic import digit_count, to_factoradic
 
 _ATLASES = {}
 
@@ -49,6 +51,37 @@ def loop_add(digits, y):
         y, out[i] = divmod(out[i] + y, i + 2)
         i += 1
     return tuple(out)
+
+
+def _step_images(e: int, lo: int, hi: int) -> Iterator[int]:
+    """Yield step(n) for n in lo..hi via an incrementing factoradic counter.
+
+    Bumping the counter touches O(1) digit positions amortized, so this
+    is much cheaper than a division loop per value. Digits sit in a
+    fixed-width list sized for hi; position idx holds the (idx+1)!-place
+    digit, bounded by idx + 1. Nothing is yielded when hi < lo.
+    """
+    if hi < lo:
+        return
+    width = digit_count(hi) + 1
+    digits = list(to_factoradic(lo).digits)
+    digits += [0] * (width - len(digits))
+    powers = [a ** e for a in range(width + 1)]
+    inc = [0] + [powers[a] - powers[a - 1] for a in range(1, width + 1)]
+    psum = sum(powers[a] for a in digits)
+    yield psum
+    for _ in range(lo, hi):
+        idx = 0
+        while True:
+            d = digits[idx]
+            if d <= idx:
+                digits[idx] = d + 1
+                psum += inc[d + 1]
+                break
+            digits[idx] = 0
+            psum -= powers[d]
+            idx += 1
+        yield psum
 
 
 @pytest.fixture(scope="session")

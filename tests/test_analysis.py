@@ -39,6 +39,12 @@ def test_is_p_happy_rejects_non_fixed_point(atlas):
         is_p_happy(10, 2, 7, atlas(2))
     with pytest.raises(ValueError):
         is_p_happy(10, 2, 7)
+    # 0 and negative p are refused alike with and without an atlas.
+    for p in (0, -1):
+        with pytest.raises(ValueError, match=f"positive integer, got {p}$"):
+            is_p_happy(10, 2, p, atlas(2))
+        with pytest.raises(ValueError, match=f"positive integer, got {p}$"):
+            is_p_happy(10, 2, p)
 
 
 def test_is_p_happy_matches_direct_oracle(atlas):
@@ -84,6 +90,17 @@ def test_smallest_runs_validates(atlas):
         smallest_runs(2, 1, 0, atlas(2))
     with pytest.raises(ValueError):
         smallest_runs(2, 1, 3, atlas(2), search_floor=3)
+    for floor, cap in ((2, -7), (2, 0), (2, 1), (1, 0), (1, -1)):
+        with pytest.raises(ValueError, match=f"search cap {cap} is below "
+                                             f"the search floor {floor}"):
+            smallest_runs(2, 1, 3, atlas(2), search_floor=floor,
+                          search_cap=cap)
+    # A cap equal to the floor sweeps exactly one value.
+    for floor in (1, 2):
+        search = smallest_runs(2, 1, 3, atlas(2), search_floor=floor,
+                               search_cap=floor)
+        assert [(r.m, r.start) for r in search.records] == [(1, floor)]
+        assert not search.complete
 
 
 def test_density_small_interval(atlas):

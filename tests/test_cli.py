@@ -244,6 +244,23 @@ def test_runs_refuses_cap_over_table_limit(capsys):
     assert code == 0 and out.endswith("m=3: start 6\n")
 
 
+def test_negative_and_below_floor_caps_refused(capsys):
+    for argv, value in (
+            (("runs", "--e", "2", "--max-m", "3", "--cap", "-7"), "-7"),
+            (("runs", "--e", "2", "--max-m", "3", "--cap", "1"), "1"),
+            (("runs", "--e", "2", "--max-m", "3", "--floor", "1",
+              "--cap", "0"), "0"),
+            (("nice", "--e", "2", "--p", "1", "--l", "20", "--cap", "-1"), "-1"),
+            (("orbit", "2021", "--e", "2", "--cap", "-1"), "-1"),
+            (("orbit", "2021", "--e", "2", "--trace", "--cap", "-1"), "-1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and value in err.split()
+    code, out, _ = run_cli(capsys, "runs", "--e", "2", "--max-m", "1",
+                           "--floor", "1", "--cap", "1")
+    assert (code, out) == (0, "e: 2\np: 1\nfloor: 1\nm=1: start 1\n")
+
+
 def test_oversized_exponent_refused_in_subprocess():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import _step_images, loop_step
 from facthappy import dynamics
 from facthappy.dynamics import (
     DENSITY_WORK_LIMIT,
@@ -23,7 +24,6 @@ from facthappy.dynamics import (
     step_image_bound,
     step_sum_tally,
     _density_work,
-    _step_images,
 )
 from facthappy.factoradic import digit_count, to_factoradic
 
@@ -216,6 +216,20 @@ def test_lookup_above_memo_matches_oracle(e, atlas):
         assert at.attractor_index(n) == at.attractors.index(at.lookup(n)[0])
 
 
+@pytest.mark.parametrize("e", range(1, 9))
+def test_extended_index_table_matches_attractor_index(e, atlas):
+    at = atlas(e)
+    block = math.factorial(7)
+    assert at._low == [loop_step(n, e) for n in range(block)]
+    uppers = {0, 1, 2}
+    uppers.update(k * block + d for k in (1, 2, 3) for d in (-1, 0, 1))
+    if e <= 6:
+        uppers.update(at.memo_bound + d for d in (-1, 0, 1))
+    expected = [-1] + [at.attractor_index(n) for n in range(1, max(uppers) + 1)]
+    for upper in sorted(uppers):
+        assert at.extended_index_table(upper) == expected[:upper + 1]
+
+
 def test_atlas_rejects_nonpositive(atlas):
     at = atlas(2)
     for n in (0, -1):
@@ -361,6 +375,10 @@ def test_classify_rejects_bad_input(atlas):
         classify(0, 2)
     with pytest.raises(ValueError):
         classify(5, 3, atlas(2))
+    for at in (None, atlas(2)):
+        with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+            classify(2021, 2, at, cap=-1)
+        assert classify(1, 2, at, cap=0).steps_to_attractor == 0
 
 
 def test_cycle_canonicalization_and_validation():

@@ -134,6 +134,8 @@ def test_nice_check_rejects_non_fixed_point(atlas):
 def test_nice_check_cap(atlas):
     with pytest.raises(WitnessError):
         nice_check(4, 1, 6, atlas(4), cap=3)
+    with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+        nice_check(2, 1, 20, atlas(2), cap=-1)
 
 
 def test_build_sequence_depth_two(atlas):
