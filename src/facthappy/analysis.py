@@ -1,7 +1,7 @@
 """Interval tallies: smallest consecutive runs and attractor densities.
 
-A run sweep reads an attractor-index table that covers every one-step
-image of the swept interval. A density tally never visits the values
+A run search reads an attractor-index table that covers every one-step
+image of the searched interval. A density tally never visits the values
 themselves: the step-sum digit DP of dynamics counts them by step
 value, and the atlas classifies each distinct value once.
 """
@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import (
-    Attractor, AttractorAtlas, classify, happy_step_nat, step_sum_tally)
+    _LOW, Attractor, AttractorAtlas, _step_sum, classify, happy_step_nat,
+    step_image_bound, step_sum_tally)
 
 # Largest search_cap smallest_runs accepts: its table holds one entry
-# per value up to the cap.
+# per value up to the cap or, if smaller, the cap's step image bound.
 DEFAULT_SEARCH_CAP = 10 ** 6
 
 
@@ -76,15 +77,17 @@ def is_p_happy(n: int, e: int, p: int, atlas: AttractorAtlas | None = None) -> b
 def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
                   search_floor: int = 2,
                   search_cap: int = DEFAULT_SEARCH_CAP) -> RunSearch:
-    """Least start of each run length 1..m_max, by one memoized forward sweep.
+    """Least start of each run length 1..m_max, by stride probes.
 
     The default floor of 2 matches the usual convention of starting the
     search above the trivial fixed point 1; pass 1 for the full search.
-    The sweep keeps the current run start; a miss resets it. Memory is
-    one table entry per integer up to the cap, and a search_cap over
-    DEFAULT_SEARCH_CAP or below search_floor raises ValueError before
-    the table is built. Unresolved lengths are reported by a RunSearch
-    with complete=False rather than an error.
+    With best the longest run found, every longer run from n on holds
+    one of n + best, n + 2 * best + 1, ...; a hit is widened to its run.
+    The table covers min(cap, step_image_bound(e, cap)); a larger n is
+    read through its step, its 7!-block's high sum plus a low-digit sum.
+    A search_cap over DEFAULT_SEARCH_CAP or below search_floor raises
+    ValueError before the table is built. Unresolved lengths are
+    reported by a RunSearch with complete=False rather than an error.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
@@ -99,27 +102,37 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
         raise ValueError(f"search cap {search_cap} is below the search "
                          f"floor {search_floor}")
     target = _fixed_point_index(atlas, p)
-    table = atlas.extended_index_table(search_cap)
+    top = min(search_cap, step_image_bound(e, search_cap))
+    hits = bytes(map(target.__eq__, atlas.extended_index_table(top)))
+    low = atlas._low
+    high = [_step_sum(base, e, low) for base in range(0, search_cap + 1, _LOW)]
+
+    def hit(n: int) -> int:  # n and its step share their attractor
+        return hits[n] if n <= top else hits[high[n // _LOW] + low[n % _LOW]]
+
     starts: dict[int, int] = {}
-    run_start = None
-    next_m = 1
-    for n in range(search_floor, search_cap + 1):
-        if table[n] == target:
-            if run_start is None:
-                run_start = n
-            length = n - run_start + 1
-            while next_m <= length and next_m <= m_max:
-                starts[next_m] = run_start
-                next_m += 1
-            if next_m > m_max:
-                break
-        else:
-            run_start = None
+    best, n = 0, search_floor  # no run below n is longer than best
+    while best < m_max:
+        q = n + best
+        while q <= search_cap and not hit(q):
+            q += best + 1
+        if q > search_cap:
+            break
+        start = end = q
+        while start > n and hit(start - 1):
+            start -= 1
+        last = min(search_cap, start + m_max - 1)
+        while end < last and hit(end + 1):
+            end += 1
+        for m in range(best + 1, end - start + 2):
+            starts[m] = start
+        best = max(best, end - start + 1)
+        n = end + 2  # end + 1 is a miss
     records = tuple(RunRecord(e=e, p=p, m=m, start=starts[m])
                     for m in sorted(starts))
     return RunSearch(e=e, p=p, search_floor=search_floor,
                      search_cap=search_cap, records=records,
-                     complete=next_m > m_max)
+                     complete=best >= m_max)
 
 
 def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:

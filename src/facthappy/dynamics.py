@@ -329,15 +329,22 @@ class AttractorAtlas:
     def totals(self, tally: dict[int, int]) -> list[int]:
         """Summed counts per attractor index of a {value >= 1: count} tally.
 
-        A value outside Im steps until it meets Im.
+        A value outside Im steps until it meets Im. A step adds the step
+        sum of the value's 7!-block base, taken once per block met, to
+        the step sum of its six lowest digits.
         """
         if min(tally, default=1) < 1:
             raise ValueError("tally values must be positive integers")
         e, index, low = self.e, self._index, self._low
         totals = [0] * len(self.attractors)
+        highs: dict[int, int] = {}
         for v, c in tally.items():
             while v not in index:
-                v = _step_sum(v, e, low)
+                q, r = divmod(v, _LOW)
+                high = highs.get(q)
+                if high is None:
+                    high = highs[q] = _step_sum(q * _LOW, e, low)
+                v = high + low[r]
             totals[index[v]] += c
         return totals
 

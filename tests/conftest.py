@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from facthappy import enumerate_attractors
-from facthappy.analysis import DensityReport
-from facthappy.dynamics import happy_step_nat, step_image_bound
+from facthappy.analysis import DensityReport, RunRecord, RunSearch
+from facthappy.dynamics import Attractor, happy_step_nat, step_image_bound
 from facthappy.factoradic import digit_count, to_factoradic
 
 _ATLASES = {}
@@ -128,3 +128,33 @@ def walk_tally(e, lo, hi, atlas):
             n = happy_step_nat(n, e)
         totals[atlas.attractor_index(n)] += 1
     return totals
+
+
+def sweep_runs(e, p, m_max, atlas, search_floor, search_cap):
+    """Reference run search: one forward sweep over [search_floor, search_cap].
+
+    The sweep reads a table extended to the cap and keeps the current
+    run start; a miss resets it. Arguments are assumed valid.
+    """
+    target = atlas.attractors.index(Attractor.fixed_point(p))
+    table = atlas.extended_index_table(search_cap)
+    starts: dict[int, int] = {}
+    run_start = None
+    next_m = 1
+    for n in range(search_floor, search_cap + 1):
+        if table[n] == target:
+            if run_start is None:
+                run_start = n
+            length = n - run_start + 1
+            while next_m <= length and next_m <= m_max:
+                starts[next_m] = run_start
+                next_m += 1
+            if next_m > m_max:
+                break
+        else:
+            run_start = None
+    records = tuple(RunRecord(e=e, p=p, m=m, start=starts[m])
+                    for m in sorted(starts))
+    return RunSearch(e=e, p=p, search_floor=search_floor,
+                     search_cap=search_cap, records=records,
+                     complete=next_m > m_max)

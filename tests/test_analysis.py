@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scan_density, walk_tally
+from conftest import scan_density, sweep_runs, walk_tally
 from facthappy.analysis import (
     RunRecord,
     density,
@@ -13,7 +13,8 @@ from facthappy.analysis import (
     is_p_happy,
     smallest_runs,
 )
-from facthappy.dynamics import Attractor, happy_step_nat
+from facthappy.dynamics import (
+    Attractor, AttractorAtlas, happy_step_nat, step_image_bound)
 
 
 def _orbit_reaches(n, e, p):
@@ -101,6 +102,80 @@ def test_smallest_runs_validates(atlas):
                                search_cap=floor)
         assert [(r.m, r.start) for r in search.records] == [(1, floor)]
         assert not search.complete
+
+
+@settings(deadline=None)
+@given(data=st.data(), e=st.integers(1, 6), floor=st.sampled_from((1, 2)),
+       m_max=st.integers(1, 50))
+def test_smallest_runs_matches_sweep(atlas, data, e, floor, m_max):
+    at = atlas(e)
+    p = data.draw(st.sampled_from(at.fixed_points), label="p")
+    cap = data.draw(st.integers(floor, 10 ** 5), label="cap")
+    assert smallest_runs(e, p, m_max, at, search_floor=floor,
+                         search_cap=cap) == sweep_runs(e, p, m_max, at,
+                                                       floor, cap)
+
+
+def _image_bound_caps(e):
+    """Caps B - 1, B, B + 1 around each B = step_image_bound(e, B) <= 10^6.
+
+    Up to cap B the table reaches the cap; from B + 1 on it stops at B
+    and the values above B are read through their step.
+    """
+    caps = []
+    for k in range(1, 10):
+        b = sum(i ** e for i in range(1, k + 1))
+        if b < 10 ** 6 and step_image_bound(e, b) == b \
+                == step_image_bound(e, b + 1):
+            caps += [c for c in (b - 1, b, b + 1) if c >= 1]
+    return caps
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+def test_smallest_runs_matches_sweep_at_edges(atlas, e):
+    at = atlas(e)
+    assert _image_bound_caps(e)
+    for p in at.fixed_points:
+        for floor in (1, 2):
+            def same(m_max, cap):
+                search = smallest_runs(e, p, m_max, at, search_floor=floor,
+                                       search_cap=cap)
+                assert search == sweep_runs(e, p, m_max, at, floor, cap)
+                return search
+
+            for m_max in (1, 2, 50):
+                same(m_max, floor)  # the cap is the floor
+                for cap in (5039, 5040, 5041):
+                    same(m_max, cap)
+            for cap in _image_bound_caps(e):
+                if cap >= floor and (cap < 10 ** 5 or p == at.fixed_points[-1]):
+                    same(50, cap)
+            # m_max above any run: the search runs to the cap
+            search = same(10 ** 4 + 1, 10 ** 4)
+            assert not search.complete
+            # the longest run below 10^4 ends exactly at the cap
+            last = search.records[-1]
+            end = last.start + last.m - 1
+            assert same(last.m, end).complete
+            assert not same(last.m + 1, end).complete
+            if end > floor:
+                assert not same(last.m, end - 1).complete
+
+
+def test_smallest_runs_table_stops_at_image_bound(atlas, monkeypatch):
+    asked = []
+    extend = AttractorAtlas.extended_index_table
+
+    def recording(self, upper):
+        asked.append(upper)
+        return extend(self, upper)
+
+    monkeypatch.setattr(AttractorAtlas, "extended_index_table", recording)
+    search = smallest_runs(5, 1, 10, atlas(5), search_cap=800_000)
+    assert search.complete
+    assert search.records[-1] == RunRecord(e=5, p=1, m=10, start=700_273)
+    assert step_image_bound(5, 800_000) == 120_825
+    assert asked and max(asked) <= 120_825
 
 
 def test_density_small_interval(atlas):

@@ -295,6 +295,33 @@ def test_totals_match_attractor_index(atlas):
         assert at.totals({}) == [0] * len(at.attractors)
 
 
+@pytest.mark.parametrize("e", range(1, 9))
+def test_totals_block_path_matches_attractor_index(atlas, e):
+    # A value outside Im steps through the high sum of its 7!-block;
+    # keys sit at block edges, crowd one block, lie in Im, and lie more
+    # than one step away from Im.
+    at = atlas(e)
+    block = math.factorial(7)
+    rng = random.Random(e)
+    image = sorted(at._index)
+    keys = set(rng.sample(image, min(len(image), 200)))
+    for k in (1, 2, 3, 7, 88, 199, 10 ** 3, 10 ** 6, 10 ** 30):
+        keys.update((k * block - 1, k * block, k * block + 1))
+    keys.update(range(41 * block + 17, 41 * block + 617))
+    keys.update(rng.randrange(1, 10 ** 12) for _ in range(300))
+    far = [v for v in keys if v not in at._index
+           and happy_step_nat(v, e) not in at._index]
+    assert len(far) >= 100
+    tally = {v: 1 + v % 5 for v in keys}
+    expected = [0] * len(at.attractors)
+    for v, c in tally.items():
+        expected[at.attractor_index(v)] += c
+    assert at.totals(tally) == expected
+    for v in far[:50] + image[:50]:
+        got = at.totals({v: 1})
+        assert got[at.attractor_index(v)] == sum(got) == 1
+
+
 def test_totals_rejects_nonpositive_values(atlas):
     at = atlas(2)
     for value in (0, -5):
