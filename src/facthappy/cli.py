@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import analysis, dynamics, factoradic, towers
+from . import dynamics, factoradic  # towers and analysis: per command
 
 # Offsets known to steer every attractor member to the given fixed
 # point, so `build` works out of the box for e in {2, 3, 4}.
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=integer, default=1)
     p.add_argument("--max-m", type=integer, required=True)
     p.add_argument("--floor", type=integer, choices=(1, 2), default=2)
-    p.add_argument("--cap", type=integer, default=analysis.DEFAULT_SEARCH_CAP)
+    p.add_argument("--cap", type=integer)  # default: DEFAULT_SEARCH_CAP
     p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("density", help="attractor tallies over [1, upper]")
@@ -168,6 +168,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_nice(args) -> int:
+    from . import towers
     atlas = dynamics.enumerate_attractors(args.e)
     witness = towers.nice_check(args.e, args.p, args.l, atlas, cap=args.cap)
     print(f"e: {witness.e}")
@@ -179,6 +180,7 @@ def _cmd_nice(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from . import towers
     offset = args.l
     if offset is None:
         offset = BUILTIN_OFFSETS.get((args.e, args.p))
@@ -208,10 +210,12 @@ def _emit(text: str) -> None:
 
 
 def _cmd_runs(args) -> int:
+    from . import analysis
+    cap = analysis.DEFAULT_SEARCH_CAP if args.cap is None else args.cap
     atlas = dynamics.enumerate_attractors(args.e)
     search = analysis.smallest_runs(
         args.e, args.p, args.max_m, atlas,
-        search_floor=args.floor, search_cap=args.cap)
+        search_floor=args.floor, search_cap=cap)
     if args.format is not None:
         _emit(analysis.emit_report(search, args.format))
     else:
@@ -230,6 +234,7 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import analysis
     atlas = dynamics.enumerate_attractors(args.e)
     report = analysis.density(args.e, args.upper, atlas)
     if args.format is not None:
@@ -254,8 +259,12 @@ _DISPATCH = {
     "density": _cmd_density,
 }
 
-_FAILURES = (dynamics.CertificationError, dynamics.OrbitCapError,
-             towers.WitnessError, towers.ReplayError, towers.SizeCapError)
+
+def _failures() -> tuple[type[RuntimeError], ...]:
+    """The exit-2 classes; towers raises three of them once it is loaded."""
+    t = sys.modules.get(f"{__package__}.towers")
+    more = (t.WitnessError, t.ReplayError, t.SizeCapError) if t else ()
+    return (dynamics.CertificationError, dynamics.OrbitCapError, *more)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -272,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _FAILURES as exc:
+    except _failures() as exc:  # evaluated only once something is raised
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

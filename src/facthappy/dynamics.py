@@ -259,6 +259,14 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
     return tally
 
 
+def _low_sums(e: int) -> list[int]:
+    """Step sums of [0, 7! - 1]; position i = 1..6 adds a ** e for its digit a."""
+    low = [0]
+    for i in range(1, 7):
+        low = [s + p for p in [a ** e for a in range(i + 1)] for s in low]
+    return low
+
+
 def _step_sum(v: int, e: int, low: list[int]) -> int:
     """Step of v >= 0, given low, the step sums of [0, 7! - 1].
 
@@ -287,7 +295,8 @@ class AttractorAtlas:
 
     def __init__(self, e: int, bound: int, memo_bound: int,
                  attractors: tuple[Attractor, ...],
-                 index: dict[int, int], steps: dict[int, int]):
+                 index: dict[int, int], steps: dict[int, int],
+                 low: list[int]):
         self.e = e
         self.bound = bound
         self.memo_bound = memo_bound
@@ -297,12 +306,7 @@ class AttractorAtlas:
         self.cycles = tuple(a for a in attractors if not a.is_fixed_point)
         self._index = index
         self._steps = steps
-        # Step sums of [0, 7! - 1]: position i (1..6) repeats the sums
-        # below it once for each digit a <= i, shifted by a ** e.
-        low = [0]
-        for i in range(1, 7):
-            low = [s + p for p in [a ** e for a in range(i + 1)] for s in low]
-        self._low = low
+        self._low = low  # _low_sums(e), built once by enumerate_attractors
 
     def _resolve(self, n: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[int, int]:
         """(attractor index, steps to reach it) for any n >= 1."""
@@ -394,6 +398,7 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
     except ValueError as exc:
         raise ValueError(f"exponent {e}: the atlas is too large: {exc}") from None
     del index[0]
+    low = _low_sums(e)
     steps: dict[int, int] = {}
     found: list[tuple[int, ...]] = []
     # Each walk stamps what it visits with -2 - n and stops at the first
@@ -404,7 +409,7 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
         while index[v] == -1:
             index[v] = -2 - n
             path.append(v)
-            v = happy_step_nat(v, e)
+            v = _step_sum(v, e, low)
         if index[v] == -2 - n:
             k = path.index(v)
             for mv in path[k:]:
@@ -422,7 +427,7 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
     remap = [attractors.index(att) for att in canon]
     for v, a in index.items():
         index[v] = remap[a]
-    return AttractorAtlas(e, m, memo_bound, attractors, index, steps)
+    return AttractorAtlas(e, m, memo_bound, attractors, index, steps, low)
 
 
 def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,

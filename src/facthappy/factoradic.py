@@ -242,8 +242,9 @@ def add(d: FactoradicRep, y: int) -> FactoradicRep:
 def parse(text: str) -> FactoradicRep:
     """Parse the '.'-separated, '!'-terminated big-endian digit format.
 
-    A token longer than the largest digit its position allows is refused
-    before int() reads it. Errors quote at most 40 characters.
+    Digits are ASCII 0-9 only. A token longer than the largest digit its
+    position allows is refused before int() reads it. Errors quote at
+    most 40 characters.
     """
     if not text.endswith("!"):
         raise MalformedRepresentationError(
@@ -254,7 +255,8 @@ def parse(text: str) -> FactoradicRep:
     tokens = body.split(".")
     values = []
     for pos, tok in zip(range(len(tokens), 0, -1), tokens):
-        if (not tok.isdigit() or (len(tok) > 1 and tok[0] == "0")
+        if (not (tok.isascii() and tok.isdigit())
+                or (len(tok) > 1 and tok[0] == "0")
                 or len(tok) > len(str(pos))):
             raise MalformedRepresentationError(
                 f"bad digit token {tok[:40]!r} at position {pos}")

@@ -88,16 +88,19 @@ def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas, *,
     Members are taken from the atlas (fixed points and all cycle
     members), and so is each first passage: for a fixed point it is
     the step count to that attractor. Raises WitnessError naming the
-    first failing member and where its orbit actually went. The cap is
-    a safety net far above the step counts seen in practice (at most
-    12 for the bundled witnesses).
+    first failing member and where its orbit actually went; a p that
+    is not a fixed point or a negative offset raises ValueError first.
+    The cap is a safety net far above the step counts seen in practice
+    (at most 12 for the bundled witnesses).
     """
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
     if cap < 0:
         raise ValueError(f"step cap must be nonnegative, got {cap}")
     if p not in atlas.fixed_points:
-        raise WitnessError(f"{p} is not a fixed point for e={e}")
+        raise ValueError(f"{p} is not a fixed point for e={e}")
+    if offset < 0:  # 1 is a member, so offset + u must stay >= 1
+        raise ValueError(f"offset must be nonnegative, got {offset}")
     members = sorted(
         m for att in atlas.attractors for m in att.members)
     q_by_member: dict[int, int] = {}

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from conftest import loop_digits
 from facthappy import cli, dynamics, factoradic
 
@@ -113,6 +115,43 @@ def test_nice_output(capsys):
 def test_nice_failure_exit(capsys):
     code, _, err = run_cli(capsys, "nice", "--e", "2", "--p", "1", "--l", "0")
     assert code == 2 and "member 4" in err
+
+
+def test_nice_and_build_bad_input_exit_one(capsys):
+    for argv, message in (
+            (("nice", "--e", "2", "--p", "3", "--l", "1"),
+             "3 is not a fixed point for e=2"),
+            (("build", "--e", "2", "--p", "3", "--m", "2", "--l", "5"),
+             "3 is not a fixed point for e=2"),
+            (("runs", "--e", "2", "--p", "3", "--max-m", "2"),
+             "3 is not a fixed point for e=2"),
+            (("nice", "--e", "2", "--p", "1", "--l", "-3"),
+             "offset must be nonnegative, got -3"),
+            (("build", "--e", "2", "--p", "1", "--m", "2", "--l", "-1"),
+             "offset must be nonnegative, got -1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_each_failure_class_exits_two(capsys, monkeypatch):
+    from facthappy import towers
+    for cls in (dynamics.CertificationError, dynamics.OrbitCapError,
+                towers.WitnessError, towers.ReplayError, towers.SizeCapError):
+        def fail(args, cls=cls):
+            raise cls(f"{cls.__name__} raised")
+        monkeypatch.setitem(cli._DISPATCH, "bound", fail)
+        code, out, err = run_cli(capsys, "bound", "--e", "2")
+        assert (code, out, err) == (2, "", f"error: {cls.__name__} raised\n")
+
+
+def test_other_runtime_errors_are_not_failures(capsys, monkeypatch):
+    # RecursionError is a RuntimeError: it must surface, not exit 2.
+    for cls in (RecursionError, RuntimeError, NotImplementedError):
+        def fail(args, cls=cls):
+            raise cls("boom")
+        monkeypatch.setitem(cli._DISPATCH, "bound", fail)
+        with pytest.raises(cls, match="boom"):
+            cli.main(["bound", "--e", "2"])
 
 
 def test_build_json(capsys):
@@ -305,6 +344,17 @@ def test_convert_digit_text_errors_are_brief(capsys):
     assert "at position 2" in err
     _, _, err = run_cli(capsys, "convert", "--digits", "1." * 2999 + "x!")
     assert err == "error: bad digit token 'x' at position 1\n"
+
+
+def test_convert_refuses_non_ascii_digits(capsys):
+    # str.isdigit admits these; int() either rejects them ('²') or reads
+    # them as ASCII digits ('٣' is 3), so neither may reach it.
+    for text, token, pos in (("²!", "²", 1), ("٣.١.٠!", "٣", 3),
+                             ("3.1.٠!", "٠", 1), ("１!", "１", 1)):
+        code, out, err = run_cli(capsys, "convert", "--digits", text)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad digit token {token!r} at position {pos}\n"
+    assert run_cli(capsys, "convert", "--digits", "3.1.0!")[:2] == (0, "20\n")
 
 
 def test_convert_at_digit_limit_is_byte_identical(capsys):

@@ -146,6 +146,19 @@ def test_parse_rejects_malformed_text(text):
         parse(text)
 
 
+def test_parse_refuses_every_non_ascii_digit():
+    # str.isdigit holds for these; each must meet the bad-token error,
+    # never int(), which rejects some and reads others as 0-9.
+    others = [chr(c) for c in range(128, 0x110000) if chr(c).isdigit()]
+    assert len(others) > 500
+    for ch in others:
+        for text, pos in ((ch + "!", 1), ("1." + ch + "!", 1),
+                          (ch + ".0!", 2)):
+            with pytest.raises(MalformedRepresentationError,
+                               match=f"^bad digit token .* at position {pos}$"):
+                parse(text)
+
+
 def test_format_parse_roundtrip_random():
     rng = random.Random(31)
     for _ in range(500):

@@ -127,8 +127,18 @@ def test_nice_check_failure_names_member(atlas):
 
 
 def test_nice_check_rejects_non_fixed_point(atlas):
-    with pytest.raises(WitnessError):
+    # Bad input, not a failed witness: ValueError, so the CLI exits 1.
+    with pytest.raises(ValueError, match="^7 is not a fixed point for e=2$"):
         nice_check(2, 7, 20, atlas(2))
+
+
+def test_nice_check_rejects_negative_offset(atlas):
+    # The message names the offset, not offset + u for some member u.
+    for offset in (-1, -3, -10 ** 30):
+        with pytest.raises(
+                ValueError, match=f"^offset must be nonnegative, got {offset}$"):
+            nice_check(2, 1, offset, atlas(2))
+    assert nice_check(3, 1, 2, atlas(3)).offset == 2
 
 
 def test_nice_check_cap(atlas):
