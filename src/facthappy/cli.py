@@ -1,12 +1,14 @@
 """Command-line surface: stable, scriptable output for every operation.
 
-Exit codes: 0 success, 1 usage error, 2 computation failure (orbit or
-search cap exceeded, failed certificate, failed witness).
+Exit codes: 0 success, 1 usage error or a reader that closed stdout
+early, 2 computation failure (orbit or search cap exceeded, failed
+certificate, failed witness).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import dynamics, factoradic  # towers and analysis: per command
@@ -181,6 +183,7 @@ def _cmd_nice(args) -> int:
 
 def _cmd_build(args) -> int:
     from . import towers
+    towers._check_run_length(args.m)
     offset = args.l
     if offset is None:
         offset = BUILTIN_OFFSETS.get((args.e, args.p))
@@ -260,13 +263,6 @@ _DISPATCH = {
 }
 
 
-def _failures() -> tuple[type[RuntimeError], ...]:
-    """The exit-2 classes; towers raises three of them once it is loaded."""
-    t = sys.modules.get(f"{__package__}.towers")
-    more = (t.WitnessError, t.ReplayError, t.SizeCapError) if t else ()
-    return (dynamics.CertificationError, dynamics.OrbitCapError, *more)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -277,11 +273,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return exc.code or 0
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # here, so the flush at exit cannot raise
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _failures() as exc:  # evaluated only once something is raised
+    except (dynamics.CertificationError, dynamics.OrbitCapError,
+            dynamics.WitnessError, dynamics.ReplayError,
+            dynamics.SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,18 @@ class OrbitCapError(RuntimeError):
     """An orbit walk exceeded its safety cap before reaching an attractor."""
 
 
+class WitnessError(RuntimeError):
+    """An offset failed to steer every attractor member into the target."""
+
+
+class ReplayError(RuntimeError):
+    """Symbolic replay of a certificate broke an exact side condition."""
+
+
+class SizeCapError(RuntimeError):
+    """Materializing a chain would exceed the allowed digit count."""
+
+
 def happy_step(d: FactoradicRep, e: int) -> int:
     """Sum of e-th powers of the digits of d; the empty digit string gives 0."""
     _check_exponent(e)

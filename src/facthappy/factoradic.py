@@ -21,9 +21,9 @@ from typing import Iterable, Iterator
 
 # Integers over this many bits are split by products of consecutive
 # radices (see _split_digits), and split blocks are cut down to at most
-# this many bits before the one-radix-at-a-time loop runs on them. The
-# loop stops losing to the split between about 1,200 and 1,600 bits
-# (2-core x86-64, Python 3.11.7).
+# this many bits before the one-radix-at-a-time loop runs on them (or,
+# in _join, Horner's rule). The loop stops losing to the split between
+# about 1,200 and 1,600 bits (2-core x86-64, Python 3.11.7).
 _SPLIT_BITS = 1536
 _LN2 = log(2)
 
@@ -110,9 +110,10 @@ def _split_digits(n: int) -> list[int]:
     While n has over _SPLIT_BITS bits, divide it by P, the product of the
     next k radices with P about sqrt(n): the remainder gives exactly k
     digits, split the same way, and the quotient carries on from the
-    radix k places up. Python 3.11 divides big integers by schoolbook
-    long division, so this is still quadratic; it gains a constant
-    factor over one radix at a time (about 8x at 32,000 decimal digits).
+    radix k places up. The rest, and any smaller n, runs one radix at a
+    time. Python 3.11 divides big integers by schoolbook long division,
+    so this is still quadratic; it gains a constant factor over the
+    loop (about 8x at 32,000 decimal digits).
     """
     out: list[int] = []
     radix = 2
@@ -141,27 +142,14 @@ def _join(digits: tuple[int, ...], lo: int, hi: int) -> int:
             + perm(mid - 1, mid - lo) * _join(digits, mid, hi))
 
 
-# Digit strings longer than this evaluate by _join: their value can
-# exceed _SPLIT_BITS bits.
-_SPLIT_DIGITS = _cut(2, _SPLIT_BITS, _SPLIT_BITS * _LN2) - 2
-
-
 def to_factoradic(n: int) -> FactoradicRep:
     """Digits of n >= 0 by successive division (radix 2, 3, 4, ...).
 
-    Over _SPLIT_BITS bits, n is split first by products of radices.
+    A big n is split first by products of radices (see _split_digits).
     """
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
-    if n.bit_length() > _SPLIT_BITS:
-        return FactoradicRep(tuple(_split_digits(n)))
-    out = []
-    radix = 2
-    while n:
-        n, r = divmod(n, radix)
-        out.append(r)
-        radix += 1
-    return FactoradicRep(tuple(out))
+    return FactoradicRep(tuple(_split_digits(n)))
 
 
 def to_natural(d: FactoradicRep | Iterable[int]) -> int:
@@ -169,34 +157,19 @@ def to_natural(d: FactoradicRep | Iterable[int]) -> int:
 
     Accepts a FactoradicRep or a raw little-endian digit iterable; raw
     sequences are validated first (digit bounds, nonzero top digit).
-    Strings over _SPLIT_DIGITS digits are joined from two halves as
-    low + P * high, P the product of the radices of the low half.
+    Long strings are joined from two halves as low + P * high, P the
+    product of the radices of the low half (see _join).
     """
     if not isinstance(d, FactoradicRep):
         d = FactoradicRep(tuple(d))
-    if len(d.digits) > _SPLIT_DIGITS:
-        return _join(d.digits, 2, len(d.digits) + 2)
-    total = 0
-    fact = 1
-    for i, a in enumerate(d.digits, start=1):
-        fact *= i
-        total += a * fact
-    return total
+    return _join(d.digits, 2, len(d.digits) + 2)
 
 
 def digit_count(n: int) -> int:
     """Number of factoradic digits of n >= 0 (0 has none)."""
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
-    if n.bit_length() > _SPLIT_BITS:
-        return len(_split_digits(n))
-    count = 0
-    radix = 2
-    while n:
-        n //= radix
-        radix += 1
-        count += 1
-    return count
+    return len(_split_digits(n))
 
 
 def shift(d: FactoradicRep, t: int) -> FactoradicRep:
@@ -214,27 +187,24 @@ def shift(d: FactoradicRep, t: int) -> FactoradicRep:
 def add(d: FactoradicRep, y: int) -> FactoradicRep:
     """Factorial-base addition of a nonnegative integer y to d.
 
-    y is carried in from the 1! place: position i keeps (digit + y) mod
-    (i + 2) and passes the quotient up as the new y. The last digit
-    written is a nonzero remainder, so no top zero can form. A y over
-    _SPLIT_BITS bits is converted first and added digit by digit, and
-    only the last carry goes on up.
+    y is converted first and added digit by digit: position i keeps
+    (digit + digit of y + carry) mod (i + 2) and passes the quotient up
+    as the carry, which then goes on up alone. The last digit written
+    is a nonzero remainder, so no top zero can form.
     """
     if y < 0:
         raise ValueError(f"addend must be nonnegative, got {y}")
     out = list(d.digits)
-    i = 0
-    if y.bit_length() > _SPLIT_BITS:
-        ys = _split_digits(y)
-        out += [0] * (len(ys) - len(out))
-        y = 0
-        for i, a in enumerate(ys):
-            y, out[i] = divmod(out[i] + a + y, i + 2)
-        i = len(ys)
-    while y:
+    ys = _split_digits(y)
+    out += [0] * (len(ys) - len(out))
+    carry = 0
+    for i, a in enumerate(ys):
+        carry, out[i] = divmod(out[i] + a + carry, i + 2)
+    i = len(ys)
+    while carry:
         if i == len(out):
             out.append(0)
-        y, out[i] = divmod(out[i] + y, i + 2)
+        carry, out[i] = divmod(out[i] + carry, i + 2)
         i += 1
     return FactoradicRep(tuple(out))
 

@@ -1,10 +1,11 @@
-"""Big integers: the split conversion against the one-radix-at-a-time loop.
+"""The split conversion against the one-radix-at-a-time loop, at every size.
 
-Every public conversion switches to a divide-and-conquer path above
-factoradic._SPLIT_BITS bits. The loops in conftest.py define the
-digits; these tests hold the fast paths to them from just below the
-switch up to 2^17 bits, and check the identities the paper's
-certificates use on integers of thousands of digits.
+Every public conversion runs the split kernels, which divide by
+products of radices above factoradic._SPLIT_BITS bits and run one
+radix at a time below. The loops in conftest.py define the digits;
+these tests hold the kernels to them from 0 up to 2^17 bits, across
+the split threshold, and check the identities the paper's certificates
+use on integers of thousands of digits.
 """
 
 import math
@@ -31,6 +32,11 @@ def big_ints(draw, lo_bits=2 ** 10, hi_bits=2 ** 17):
     return random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
 
 
+def any_ints():
+    """Small integers, which the split kernels run by the loop, or big ones."""
+    return st.one_of(st.integers(0, 2 ** _SPLIT_BITS), big_ints())
+
+
 def check_all(n):
     """Every fast path agrees with the loops on n."""
     digits = loop_digits(n)
@@ -45,33 +51,35 @@ def check_all(n):
 
 
 @BIG
-@given(n=big_ints())
+@given(n=any_ints())
 def test_to_factoradic_matches_loop(n):
     assert to_factoradic(n).digits == loop_digits(n)
 
 
 @BIG
-@given(n=big_ints(), e=st.integers(1, 6))
+@given(n=any_ints(), e=st.integers(1, 6))
 def test_happy_step_nat_matches_loop(n, e):
     assert happy_step_nat(n, e) == loop_step(n, e)
 
 
 @BIG
-@given(n=big_ints())
+@given(n=any_ints())
 def test_to_natural_matches_loop(n):
     digits = loop_digits(n)
     assert to_natural(FactoradicRep(digits)) == loop_natural(digits) == n
 
 
 @BIG
-@given(x=st.one_of(st.just(0), big_ints(1, 2 ** 17)), y=big_ints())
+@given(x=st.one_of(st.just(0), st.integers(0, 2 ** _SPLIT_BITS),
+                   big_ints(1, 2 ** 17)),
+       y=any_ints())
 def test_add_matches_loop(x, y):
     digits = loop_digits(x)
     assert add(FactoradicRep(digits), y).digits == loop_add(digits, y)
 
 
 @BIG
-@given(n=big_ints())
+@given(n=any_ints())
 def test_digit_count_matches_loop(n):
     assert digit_count(n) == len(loop_digits(n))
 
@@ -132,7 +140,7 @@ def test_classify_big_n_with_and_without_atlas(atlas, d, seed, e):
 
 
 @BIG
-@given(n=big_ints())
+@given(n=any_ints())
 def test_format_parse_round_trip_big(n):
     rep = to_factoradic(n)
     text = factoradic.format(rep)

@@ -312,6 +312,36 @@ def test_oversized_exponent_refused_in_subprocess():
         assert f"exponent {e}" in proc.stderr
 
 
+def test_closed_stdout_exits_one_without_traceback():
+    # The read end is closed before the child writes, so its first write
+    # or the flush in main meets a broken pipe.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (("convert", "2020"),
+                 ("runs", "--e", "4", "--max-m", "600", "--cap", "10000"),
+                 ("build", "--e", "2", "--p", "1", "--m", "3000")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "facthappy.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, "")
+
+
+def test_build_run_length_limit(capsys):
+    from facthappy.towers import RUN_LENGTH_LIMIT
+    for m in (RUN_LENGTH_LIMIT + 1, 10 ** 11):
+        code, out, err = run_cli(capsys, "build", "--e", "2", "--p", "1",
+                                 "--m", str(m))
+        assert (code, out, err) == (
+            1, "", f"error: run length {m} is above the limit of "
+            f"{RUN_LENGTH_LIMIT}\n")
+    code, out, _ = run_cli(capsys, "build", "--e", "2", "--p", "1",
+                           "--m", str(RUN_LENGTH_LIMIT))
+    assert code == 0 and out.endswith(f"i={RUN_LENGTH_LIMIT}: 9 steps\n")
+
+
 def test_integer_arguments_over_digit_limit_refused_briefly(capsys):
     over = "9" * (cli.DIGIT_LIMIT + 1)
     for argv in (("convert", over), ("orbit", over, "--e", "2"),

@@ -7,6 +7,7 @@ import pytest
 from facthappy.dynamics import classify, happy_step, happy_step_nat, iterate
 from facthappy.factoradic import add, digit_count, to_factoradic, to_natural
 from facthappy.towers import (
+    RUN_LENGTH_LIMIT,
     ChainNumber,
     PaddingTooSmallError,
     ReplayError,
@@ -238,6 +239,10 @@ def test_build_sequence_validates_inputs(atlas):
         build_sequence(2, 4, 3, witness, atlas(2))
     with pytest.raises(ValueError):
         build_sequence(3, 1, 3, witness, atlas(2))
+    for m in (RUN_LENGTH_LIMIT + 1, 10 ** 11):
+        with pytest.raises(ValueError, match=f"run length {m} is above the "
+                           f"limit of {RUN_LENGTH_LIMIT}"):
+            build_sequence(2, 1, m, witness, atlas(2))
 
 
 def test_depth_one_chain_plus_small_index_keeps_upper_digits():
