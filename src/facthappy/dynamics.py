@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .factoradic import (
-    _SPLIT_BITS, FactoradicRep, _split_digits, digit_count, to_factoradic)
+from .factoradic import FactoradicRep, _split_digits, digit_count, to_factoradic
 
 DEFAULT_ORBIT_CAP = 10_000
 # Most dictionary updates a step-sum tally may need: it admits density
 # at e = 5 to 14! - 1 and e >= 6 to 13! - 1, and the atlas for e <= 8.
 DENSITY_WORK_LIMIT = 15 * 10 ** 6
 _LOW = 5040  # 7!: the atlas tabulates step sums of the six lowest digits
+_FUSED_BITS = 672  # happy_step_nat's own divide-and-sum loop wins to 640-704 bits
 # Largest exponent smallest_j and classify accept: at e = 200 a default
 # cap orbit of 2021 gives up after 3-5 s, and the cost grows with e.
 EXPONENT_LIMIT = 200
@@ -54,13 +54,13 @@ def happy_step(d: FactoradicRep, e: int) -> int:
 def happy_step_nat(n: int, e: int) -> int:
     """One step of the digit-power map applied to a nonnegative integer.
 
-    An n over _SPLIT_BITS bits takes its digits from the split
+    An n over _FUSED_BITS bits takes its digits from the split
     conversion; below that one loop divides and sums as it goes.
     """
     _check_exponent(e)
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
-    if n.bit_length() > _SPLIT_BITS:
+    if n.bit_length() > _FUSED_BITS:
         return sum(a ** e for a in _split_digits(n))
     total = 0
     radix = 2

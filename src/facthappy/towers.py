@@ -155,7 +155,7 @@ def replay_run(cert: SequenceCertificate, i: int, *, cap: int = 10_000) -> int:
     """Replay the orbit of chain + i down to p; return the exact step count.
 
     The first r steps rewrite (level j) + y to (level j+1) + step(y),
-    checking the pad condition digit_count(y) <= t exactly; afterwards
+    checking the pad condition digit_count(y) <= t, as y < (t+1)!; afterwards
     the value is the small integer offset + y and plain iteration
     finishes the job. Any violated side condition or a tail that misses
     p raises ReplayError, since the construction guarantees both.
@@ -164,8 +164,9 @@ def replay_run(cert: SequenceCertificate, i: int, *, cap: int = 10_000) -> int:
         raise ValueError(f"index {i} outside [1, {cert.m}]")
     y = i
     steps = 0
+    pad = math.factorial(cert.t + 1)  # the least value with t + 1 digits
     for _ in range(cert.r):
-        if digit_count(y) > cert.t:
+        if y >= pad:
             raise ReplayError(
                 f"index {i}: intermediate {y} has more than t={cert.t} digits")
         y = happy_step_nat(y, cert.e)
@@ -203,21 +204,21 @@ def build_sequence(e: int, p: int, m: int, witness: NiceWitness,
         raise WitnessError(
             "offset 0 cannot seed a chain: the all-ones preimage needs a "
             "positive length")
-    t = 0
+    top = 0  # digit_count is monotone: t comes from the largest value
     steps_by_index: dict[int, int] = {}
     for i in range(1, m + 1):
         u = i
         for _ in range(r):
-            t = max(t, digit_count(u))
+            top = max(top, u)
             u = happy_step_nat(u, e)
-        t = max(t, digit_count(u))
+        top = max(top, u)
         if u not in witness.q_by_member:
             raise WitnessError(
                 f"value {u} reached from {i} is not covered by the witness")
         steps_by_index[i] = witness.q_by_member[u] + r
-    chain = ChainNumber(base=witness.offset, shift=t, depth=r)
+    chain = ChainNumber(base=witness.offset, shift=digit_count(top), depth=r)
     cert = SequenceCertificate(
-        e=e, p=p, m=m, t=t, r=r, offset=witness.offset, chain=chain,
+        e=e, p=p, m=m, t=chain.shift, r=r, offset=witness.offset, chain=chain,
         steps_by_index=steps_by_index, size_note=_size_note(chain),
     )
     for i in range(1, m + 1):

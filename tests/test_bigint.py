@@ -1,26 +1,33 @@
 """The split conversion against the one-radix-at-a-time loop, at every size.
 
-Every public conversion runs the split kernels, which divide by
-products of radices above factoradic._SPLIT_BITS bits and run one
-radix at a time below. The loops in conftest.py define the digits;
-these tests hold the kernels to them from 0 up to 2^17 bits, across
-the split threshold, and check the identities the paper's certificates
-use on integers of thousands of digits.
+Every public conversion runs the split kernels, which divide by the
+products of a cached tree of radix blocks above factoradic._LEAF_BITS
+bits and run one radix at a time below. The loops in conftest.py define
+the digits; these tests hold the kernels to them from 0 up to 2^17 bits,
+across the thresholds, at the tree's own node products and block edges,
+from an empty cache in a fresh interpreter and under threads, and check
+the identities the paper's certificates use on integers of thousands of
+digits.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import loop_add, loop_digits, loop_natural, loop_step
 from facthappy import classify, factoradic, happy_step_nat
+from facthappy.dynamics import _FUSED_BITS
 from facthappy.factoradic import (
-    _SPLIT_BITS, FactoradicRep, add, digit_count, parse, to_factoradic,
-    to_natural)
+    _LEAF_BITS, FactoradicRep, _edge, _node, add, digit_count, parse,
+    to_factoradic, to_natural)
 from facthappy.towers import additivity_check
 
+TESTS = os.path.dirname(os.path.abspath(__file__))
 BIG = settings(max_examples=25, deadline=None)
 
 
@@ -34,7 +41,8 @@ def big_ints(draw, lo_bits=2 ** 10, hi_bits=2 ** 17):
 
 def any_ints():
     """Small integers, which the split kernels run by the loop, or big ones."""
-    return st.one_of(st.integers(0, 2 ** _SPLIT_BITS), big_ints())
+    return st.one_of(st.integers(0, 2 ** _LEAF_BITS),
+                     big_ints(_LEAF_BITS // 2, 2 ** 17))
 
 
 def check_all(n):
@@ -70,7 +78,7 @@ def test_to_natural_matches_loop(n):
 
 
 @BIG
-@given(x=st.one_of(st.just(0), st.integers(0, 2 ** _SPLIT_BITS),
+@given(x=st.one_of(st.just(0), st.integers(0, 2 ** _LEAF_BITS),
                    big_ints(1, 2 ** 17)),
        y=any_ints())
 def test_add_matches_loop(x, y):
@@ -84,7 +92,8 @@ def test_digit_count_matches_loop(n):
     assert digit_count(n) == len(loop_digits(n))
 
 
-@pytest.mark.parametrize("bits", [_SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1])
+@pytest.mark.parametrize("bits", [_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1,
+                                  _FUSED_BITS - 1, _FUSED_BITS, _FUSED_BITS + 1])
 def test_threshold_plus_minus_one_bit(bits):
     rng = random.Random(bits)
     for n in (1 << (bits - 1), (1 << bits) - 1,
@@ -97,7 +106,7 @@ def test_factorials_across_threshold():
     # k is the least k with k! over the threshold: k! - 1 keeps every
     # digit at its maximum below it, k! and k! + 1 are one digit longer.
     k = next(k for k in range(2, 10 ** 4)
-             if math.factorial(k).bit_length() > _SPLIT_BITS)
+             if math.factorial(k).bit_length() > _LEAF_BITS)
     for j in (k - 1, k, k + 1, 2 * k, 5 * k):
         f = math.factorial(j)
         for n in (f - 1, f, f + 1):
@@ -110,7 +119,7 @@ def test_remainder_blocks_with_leading_zeros():
     # j <= K, so the low split blocks come out all zero; + r puts a
     # short nonzero tail under a run of zeros.
     rng = random.Random(2024)
-    for bits in (3 * _SPLIT_BITS, 12 * _SPLIT_BITS, 2 ** 16):
+    for bits in (3 * _LEAF_BITS, 12 * _LEAF_BITS, 2 ** 16):
         big_k = next(k for k in range(2, 10 ** 5)
                      if math.factorial(k).bit_length() > 2 * bits // 3)
         q = rng.getrandbits(bits // 3) | 1
@@ -122,7 +131,7 @@ def test_remainder_blocks_with_leading_zeros():
 
 
 def test_long_zero_runs_join():
-    for t in (_SPLIT_BITS, 3 * _SPLIT_BITS):
+    for t in (_LEAF_BITS, 3 * _LEAF_BITS):
         for top in ((1,), (0, 2), (3, 0, 0, 5)):
             digits = (0,) * t + top
             assert to_natural(digits) == loop_natural(digits)
@@ -153,3 +162,120 @@ def test_format_parse_round_trip_big(n):
 def test_additivity_with_enough_padding_big(x, y, extra, e):
     t = digit_count(y) + extra
     assert additivity_check(x, y, t, e, strict=True)
+
+
+def check_conversions(n):
+    """to_factoradic, digit_count and to_natural agree with the loops on n."""
+    digits = loop_digits(n)
+    assert to_factoradic(n).digits == digits
+    assert digit_count(n) == len(digits)
+    assert to_natural(digits) == loop_natural(digits) == n
+
+
+def test_node_products_plus_minus_one():
+    # A node product is exactly the value where a block's digits roll
+    # over: P - 1 fills the node with maximal digits, P and P + 1 carry
+    # into the next radix.
+    for level in range(6):
+        for j in range(64 >> level):
+            product = _node(level, j)
+            for n in (product - 1, product, product + 1):
+                check_conversions(n)
+
+
+def test_factorials_around_block_edges():
+    # k! - 1 has its top digit at radix k, k! at radix k + 1: k around
+    # each edge puts the last digit just below, on and just above it.
+    for edge in map(_edge, range(1, 41)):
+        for k in range(edge - 2, edge + 2):
+            for n in (math.factorial(k) - 1, math.factorial(k)):
+                check_conversions(n)
+
+
+def test_digit_strings_ending_on_block_edges():
+    # A string of edge - 2 digits fills its blocks exactly; one digit
+    # less leaves the last block short, one more opens the next block.
+    rng = random.Random(31)
+    for edge in map(_edge, range(1, 41)):
+        for length in (edge - 3, edge - 2, edge - 1):
+            digits = tuple(rng.randint(0, i) for i in range(1, length)) \
+                + (rng.randint(1, length),)
+            n = loop_natural(digits)
+            assert to_natural(digits) == n
+            assert to_factoradic(n).digits == digits
+
+
+# Converts n of each size in the given order from an empty cache, value
+# first so that a join meets blocks no division has made, and compares
+# with the loops; prints the number of values checked.
+ORDERED = """
+import random, sys
+from conftest import loop_digits, loop_natural
+from facthappy.factoradic import _nodes, digit_count, to_factoradic, to_natural
+assert not _nodes
+rng = random.Random(5)
+checked = 0
+for d in map(int, sys.argv[1:]):
+    n = rng.randrange(10 ** (d - 1), 10 ** d)
+    digits = loop_digits(n)
+    assert to_natural(digits) == loop_natural(digits) == n, d
+    assert to_factoradic(n).digits == digits, d
+    assert digit_count(n) == len(digits), d
+    checked += 1
+print(checked)
+"""
+
+SIZES = tuple(round(10 ** (1 + k / 40)) for k in range(121))  # 10 to 10^4
+
+
+@pytest.mark.parametrize("order", ["descending-ascending", "ascending"])
+def test_sizes_in_order_from_an_empty_cache(order):
+    sizes = SIZES[::-1] + SIZES if order == "descending-ascending" else SIZES
+    proc = subprocess.run(
+        [sys.executable, "-c", ORDERED, *map(str, sizes)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(TESTS, os.pardir, "src"), TESTS])))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(sizes)
+
+
+# Four threads convert interleaved sizes from an empty cache, two from the
+# largest down, switching every microsecond, and compare with the loops;
+# prints the count.
+THREADED = """
+import random, sys, threading
+from conftest import loop_digits
+from facthappy.factoradic import _nodes, to_factoradic, to_natural
+assert not _nodes
+rng = random.Random(7)
+sizes = [round(10 ** (1 + 3 * k / 23)) for k in range(24)]
+values = [rng.randrange(10 ** (d - 1), 10 ** d) for d in sizes]
+expected = [loop_digits(n) for n in values]
+start = threading.Barrier(4)
+done = []
+def work(k):
+    start.wait()
+    order = list(range(k, 24, 4)) + list(range((k + 2) % 4, 24, 4))
+    for i in (order if k % 2 else order[::-1]):
+        assert to_factoradic(values[i]).digits == expected[i], i
+        assert to_natural(expected[i]) == values[i], i
+        done.append(i)
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+    assert not t.is_alive()
+print(len(done))
+"""
+
+
+def test_four_threads_share_the_cache():
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADED], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(TESTS, os.pardir, "src"), TESTS])))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 4 * 12

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +144,22 @@ def test_parse_roundtrip_or_reject(text, value):
 ])
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(MalformedRepresentationError):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    # Eleven tokens, so the top position is two digits wide: each of
+    # these passes the width check for the whole string and must still
+    # meet the error the token-by-token reading gives.
+    ("1" + ".0" * 8 + ".01.0!", "bad digit token '01' at position 2"),
+    ("1" + ".0" * 8 + ".00.0!", "bad digit token '00' at position 2"),
+    ("1" + ".0" * 6 + ".10.0.0.0!", "bad digit token '10' at position 4"),
+    ("1" + ".0" * 8 + ".9.2!", "digit 2 at position 1 outside [0, 1]"),
+    ("0" + ".0" * 10 + "!", "leading zero digit at position 11"),
+])
+def test_parse_errors_in_long_text(text, message):
+    with pytest.raises(MalformedRepresentationError,
+                       match=f"^{re.escape(message)}$"):
         parse(text)
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import random
 
 import pytest
 
+from facthappy.cli import BUILTIN_OFFSETS
 from facthappy.dynamics import classify, happy_step, happy_step_nat, iterate
 from facthappy.factoradic import add, digit_count, to_factoradic, to_natural
 from facthappy.towers import (
@@ -167,6 +169,59 @@ def test_build_sequence_pad_covers_every_visited_value(atlas):
             assert cert.t == max(digit_count(iterate(i, e, k))
                                  for i in range(1, m + 1)
                                  for k in range(cert.r + 1))
+
+
+# build_sequence's pad width t and depth r for m = 1..20 at each e, and
+# its step counts for m = 20 at each built-in offset, as recorded when t
+# was the most digits over a per-step digit_count. A run of m keeps the
+# first m counts, moved by its own r.
+PAD_T = {2: (1, 2, 2, 2, 2) + (3,) * 15,
+         3: (1, 2, 2) + (3,) * 14 + (4,) * 3,
+         4: (1, 2, 2) + (4,) * 7 + (5,) * 10}
+DEPTH_R = {2: (0, 1) + (2,) * 6 + (3,) * 8 + (4,) * 4,
+           3: (0, 1, 2, 3) + (4,) * 6 + (5,) * 10,
+           4: (0, 1, 2, 5) + (8,) * 6 + (14,) * 10}
+STEPS_20 = {
+    (2, 1): (7, 7, 7, 5, 6, 7, 7, 7, 7, 6, 7, 5, 6, 6, 7, 7, 7, 7, 6, 6),
+    (2, 4): (6,) * 20,
+    (2, 5): (6, 6, 6, 5, 5, 6, 6, 6, 6, 5, 6, 5, 5, 5, 6, 6, 6, 6, 5, 5),
+    (3, 1): (7,) * 15 + (9, 10, 7, 7, 7),
+    (3, 16): (7,) * 15 + (8, 8, 7, 7, 7),
+    (3, 17): (7,) * 20,
+    (4, 1): (16,) * 20,
+    (4, 658): (15,) * 20,
+    (4, 659): (16,) * 20,
+}
+
+
+@pytest.mark.parametrize("e, p", sorted(BUILTIN_OFFSETS))
+def test_builtin_certificates_keep_pad_and_steps(e, p, atlas):
+    witness = nice_check(e, p, BUILTIN_OFFSETS[(e, p)], atlas(e))
+    for m in range(1, 21):
+        cert = build_sequence(e, p, m, witness, atlas(e))
+        assert (cert.t, cert.r) == (PAD_T[e][m - 1], DEPTH_R[e][m - 1])
+        moved = DEPTH_R[e][m - 1] - DEPTH_R[e][19]
+        assert cert.steps_by_index == {
+            i: s + moved for i, s in enumerate(STEPS_20[(e, p)][:m], start=1)}
+
+
+def test_replay_pad_check_matches_digit_count(atlas):
+    # Every narrower pad fails at the first intermediate with more than
+    # t digits by the definition, and names it; the rest replay in full.
+    witness = nice_check(3, 1, 2, atlas(3))
+    good = build_sequence(3, 1, 20, witness, atlas(3))
+    for t in range(good.t + 1):
+        cert = dataclasses.replace(good, t=t)
+        for i in range(1, 21):
+            over = [y for y in (iterate(i, 3, k) for k in range(good.r))
+                    if digit_count(y) > t]
+            if not over:
+                assert replay_run(cert, i) == good.steps_by_index[i]
+                continue
+            with pytest.raises(ReplayError, match=(
+                    f"^index {i}: intermediate {over[0]} has more than "
+                    f"t={t} digits$")):
+                replay_run(cert, i)
 
 
 def test_build_sequence_run_of_one_is_concrete(atlas):
