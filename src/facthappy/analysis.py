@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import (
-    _LOW, Attractor, AttractorAtlas, _step_sum, classify, happy_step_nat,
-    step_image_bound, step_sum_tally)
+    _LOW, Attractor, AttractorAtlas, _low_sums, _step_sum, classify,
+    happy_step_nat, step_image_bound, step_sum_tally)
 
 # Largest search_cap smallest_runs accepts: its table holds one entry
 # per value up to the cap or, if smaller, the cap's step image bound.
@@ -104,7 +104,7 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     target = _fixed_point_index(atlas, p)
     top = min(search_cap, step_image_bound(e, search_cap))
     hits = bytes(map(target.__eq__, atlas.extended_index_table(top)))
-    low = atlas._low
+    low = _low_sums(e)
     high = [_step_sum(base, e, low) for base in range(0, search_cap + 1, _LOW)]
 
     def hit(n: int) -> int:  # n and its step share their attractor

@@ -10,6 +10,7 @@ the atlas of fixed points and cycles found on the step images below it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .factoradic import FactoradicRep, _split_digits, digit_count, to_factoradic
@@ -18,10 +19,14 @@ DEFAULT_ORBIT_CAP = 10_000
 # Most dictionary updates a step-sum tally may need: it admits density
 # at e = 5 to 14! - 1 and e >= 6 to 13! - 1, and the atlas for e <= 8.
 DENSITY_WORK_LIMIT = 15 * 10 ** 6
-_LOW = 5040  # 7!: the atlas tabulates step sums of the six lowest digits
-_FUSED_BITS = 672  # happy_step_nat's own divide-and-sum loop wins to 640-704 bits
-# Largest exponent smallest_j and classify accept: at e = 200 a default
-# cap orbit of 2021 gives up after 3-5 s, and the cost grows with e.
+_LOW = 5040  # 7!: _low_sums tabulates step sums of the six lowest digits
+_LOW_SUMS_KEPT = 16  # exponents whose table _low_sums keeps, 41-426 KiB each
+# happy_step_nat steps an n of up to this many bits by _step_sum: within
+# 5% of the split digit sum at 640-832 bits, 5-15% slower at 896-1,088.
+_TABLE_BITS = 672
+# Largest exponent any step, bound or orbit accepts: at e = 200 the step
+# table holds 426 KiB and a default cap orbit of 2021 gives up after
+# 3-5 s, and both grow with e.
 EXPONENT_LIMIT = 200
 
 
@@ -54,27 +59,22 @@ def happy_step(d: FactoradicRep, e: int) -> int:
 def happy_step_nat(n: int, e: int) -> int:
     """One step of the digit-power map applied to a nonnegative integer.
 
-    An n over _FUSED_BITS bits takes its digits from the split
-    conversion; below that one loop divides and sums as it goes.
+    An n over _TABLE_BITS bits takes its digits from the split conversion;
+    a smaller one takes _step_sum on the exponent's cached low-sum table.
     """
     _check_exponent(e)
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
-    if n.bit_length() > _FUSED_BITS:
+    if n.bit_length() > _TABLE_BITS:
         return sum(a ** e for a in _split_digits(n))
-    total = 0
-    radix = 2
-    while n:
-        n, r = divmod(n, radix)
-        total += r ** e
-        radix += 1
-    return total
+    return _step_sum(n, e, _low_sums(e))
 
 
 def iterate(n: int, e: int, count: int) -> int:
     """count-fold composition of the step map; count = 0 returns n unchanged."""
     if count < 0:
         raise ValueError(f"iteration count must be nonnegative, got {count}")
+    _check_exponent(e)
     for _ in range(count):
         n = happy_step_nat(n, e)
     return n
@@ -83,10 +83,6 @@ def iterate(n: int, e: int, count: int) -> int:
 def _check_exponent(e: int) -> None:
     if e < 1:
         raise ValueError(f"exponent must be a positive integer, got {e}")
-
-
-def _check_exponent_limit(e: int) -> None:
-    _check_exponent(e)
     if e > EXPONENT_LIMIT:
         raise ValueError(
             f"exponent {e} is above the limit of {EXPONENT_LIMIT}")
@@ -178,7 +174,7 @@ def smallest_j(e: int) -> int:
 
     Exponents above EXPONENT_LIMIT raise ValueError.
     """
-    _check_exponent_limit(e)
+    _check_exponent(e)
     j = 1
     fact = 1
     while True:
@@ -271,15 +267,20 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
     return tally
 
 
-def _low_sums(e: int) -> list[int]:
-    """Step sums of [0, 7! - 1]; position i = 1..6 adds a ** e for its digit a."""
+@lru_cache(maxsize=_LOW_SUMS_KEPT)
+def _low_sums(e: int) -> tuple[int, ...]:
+    """Step sums of [0, 7! - 1]; position i = 1..6 adds a ** e for its digit a.
+
+    Built once per exponent and kept for the process, up to
+    _LOW_SUMS_KEPT exponents, as a tuple every caller shares.
+    """
     low = [0]
     for i in range(1, 7):
         low = [s + p for p in [a ** e for a in range(i + 1)] for s in low]
-    return low
+    return tuple(low)
 
 
-def _step_sum(v: int, e: int, low: list[int]) -> int:
+def _step_sum(v: int, e: int, low: tuple[int, ...]) -> int:
     """Step of v >= 0, given low, the step sums of [0, 7! - 1].
 
     low[v mod 7!] covers the six lowest digits; the digits from the 7!
@@ -307,8 +308,7 @@ class AttractorAtlas:
 
     def __init__(self, e: int, bound: int, memo_bound: int,
                  attractors: tuple[Attractor, ...],
-                 index: dict[int, int], steps: dict[int, int],
-                 low: list[int]):
+                 index: dict[int, int], steps: dict[int, int]):
         self.e = e
         self.bound = bound
         self.memo_bound = memo_bound
@@ -318,7 +318,6 @@ class AttractorAtlas:
         self.cycles = tuple(a for a in attractors if not a.is_fixed_point)
         self._index = index
         self._steps = steps
-        self._low = low  # _low_sums(e), built once by enumerate_attractors
 
     def _resolve(self, n: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[int, int]:
         """(attractor index, steps to reach it) for any n >= 1."""
@@ -351,7 +350,7 @@ class AttractorAtlas:
         """
         if min(tally, default=1) < 1:
             raise ValueError("tally values must be positive integers")
-        e, index, low = self.e, self._index, self._low
+        e, index, low = self.e, self._index, _low_sums(self.e)
         totals = [0] * len(self.attractors)
         highs: dict[int, int] = {}
         for v, c in tally.items():
@@ -375,7 +374,7 @@ class AttractorAtlas:
         Callers bound upper.
         """
         covered = min(upper, self.memo_bound)
-        e, index, low = self.e, self._index, self._low
+        e, index, low = self.e, self._index, _low_sums(self.e)
         table = [-1]
         append = table.append
         for base in range(0, upper + 1, _LOW):
@@ -439,7 +438,7 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
     remap = [attractors.index(att) for att in canon]
     for v, a in index.items():
         index[v] = remap[a]
-    return AttractorAtlas(e, m, memo_bound, attractors, index, steps, low)
+    return AttractorAtlas(e, m, memo_bound, attractors, index, steps)
 
 
 def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,
@@ -457,7 +456,7 @@ def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,
         raise ValueError(f"expected a positive integer, got {n}")
     if cap < 0:
         raise ValueError(f"orbit cap must be nonnegative, got {cap}")
-    _check_exponent_limit(e)
+    _check_exponent(e)
     if atlas is not None:
         if atlas.e != e:
             raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")

@@ -155,18 +155,17 @@ def replay_run(cert: SequenceCertificate, i: int, *, cap: int = 10_000) -> int:
     """Replay the orbit of chain + i down to p; return the exact step count.
 
     The first r steps rewrite (level j) + y to (level j+1) + step(y),
-    checking the pad condition digit_count(y) <= t, as y < (t+1)!; afterwards
-    the value is the small integer offset + y and plain iteration
-    finishes the job. Any violated side condition or a tail that misses
-    p raises ReplayError, since the construction guarantees both.
+    checking the pad condition digit_count(y) <= t, as y < (t+1)!, met by
+    any y < 2^t; then the value is the small integer offset + y and plain
+    iteration finishes the job. Any violated side condition or a tail that
+    misses p raises ReplayError, since the construction guarantees both.
     """
     if not 1 <= i <= cert.m:
         raise ValueError(f"index {i} outside [1, {cert.m}]")
     y = i
     steps = 0
-    pad = math.factorial(cert.t + 1)  # the least value with t + 1 digits
     for _ in range(cert.r):
-        if y >= pad:
+        if y.bit_length() > cert.t and y >= math.factorial(cert.t + 1):
             raise ReplayError(
                 f"index {i}: intermediate {y} has more than t={cert.t} digits")
         y = happy_step_nat(y, cert.e)

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import loop_add, loop_digits, loop_natural, loop_step
 from facthappy import classify, factoradic, happy_step_nat
-from facthappy.dynamics import _FUSED_BITS
+from facthappy.dynamics import _TABLE_BITS
 from facthappy.factoradic import (
     _LEAF_BITS, FactoradicRep, _edge, _node, add, digit_count, parse,
     to_factoradic, to_natural)
@@ -93,7 +93,7 @@ def test_digit_count_matches_loop(n):
 
 
 @pytest.mark.parametrize("bits", [_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1,
-                                  _FUSED_BITS - 1, _FUSED_BITS, _FUSED_BITS + 1])
+                                  _TABLE_BITS - 1, _TABLE_BITS, _TABLE_BITS + 1])
 def test_threshold_plus_minus_one_bit(bits):
     rng = random.Random(bits)
     for n in (1 << (bits - 1), (1 << bits) - 1,

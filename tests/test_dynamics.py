@@ -132,11 +132,29 @@ def test_descent_tail_matches_definition(e):
 def test_exponent_limit():
     assert smallest_j(EXPONENT_LIMIT) > EXPONENT_LIMIT
     assert descent_bound(EXPONENT_LIMIT).certificate_ok
-    for call in (smallest_j, descent_bound, lambda e: classify(2021, e)):
-        with pytest.raises(ValueError, match=f"exponent {EXPONENT_LIMIT + 1} "):
-            call(EXPONENT_LIMIT + 1)
-        with pytest.raises(ValueError, match="exponent 1000000 "):
-            call(10 ** 6)
+    dynamics._low_sums.cache_clear()
+    for call in (smallest_j, descent_bound, lambda e: classify(2021, e),
+                 lambda e: happy_step_nat(2021, e),
+                 lambda e: iterate(2021, e, 3),
+                 lambda e: happy_step(to_factoradic(2021), e),
+                 lambda e: step_sum_tally(e, 2021)):
+        for e in (EXPONENT_LIMIT + 1, 10 ** 6):
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^exponent {e} is above "):
+                call(e)
+            assert time.perf_counter() - started < 0.05
+    assert dynamics._low_sums.cache_info().currsize == 0
+
+
+def test_happy_step_nat_matches_loop_at_block_and_table_edges():
+    block = math.factorial(7)
+    values = [k * block + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    bits = dynamics._TABLE_BITS
+    values += [(1 << b) - 1 for b in (bits - 1, bits, bits + 1)]
+    values += [1 << (b - 1) for b in (bits - 1, bits, bits + 1)]
+    for e in (1, 2, 5, 8, EXPONENT_LIMIT):
+        for n in values:
+            assert happy_step_nat(n, e) == loop_step(n, e)
 
 
 def test_descent_above_bound_randomized():
@@ -220,7 +238,7 @@ def test_lookup_above_memo_matches_oracle(e, atlas):
 def test_extended_index_table_matches_attractor_index(e, atlas):
     at = atlas(e)
     block = math.factorial(7)
-    assert at._low == [loop_step(n, e) for n in range(block)]
+    assert dynamics._low_sums(e) == tuple(loop_step(n, e) for n in range(block))
     uppers = {0, 1, 2}
     uppers.update(k * block + d for k in (1, 2, 3) for d in (-1, 0, 1))
     if e <= 6:

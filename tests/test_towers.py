@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -222,6 +223,17 @@ def test_replay_pad_check_matches_digit_count(atlas):
                     f"^index {i}: intermediate {over[0]} has more than "
                     f"t={t} digits$")):
                 replay_run(cert, i)
+
+
+def test_replay_wide_pad_is_fast(atlas):
+    # Every intermediate is below 2^t, so (t+1)! is never needed.
+    witness = nice_check(3, 1, 2, atlas(3))
+    good = build_sequence(3, 1, 20, witness, atlas(3))
+    wide = dataclasses.replace(good, t=10 ** 6)
+    started = time.perf_counter()
+    for i in range(1, 21):
+        assert replay_run(wide, i) == good.steps_by_index[i]
+        assert time.perf_counter() - started < 0.5
 
 
 def test_build_sequence_run_of_one_is_concrete(atlas):
