@@ -83,8 +83,9 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     search above the trivial fixed point 1; pass 1 for the full search.
     With best the longest run found, every longer run from n on holds
     one of n + best, n + 2 * best + 1, ...; a hit is widened to its run.
-    The table covers min(cap, step_image_bound(e, cap)); a larger n is
-    read through its step, its 7!-block's high sum plus a low-digit sum.
+    The table covers min(cap, step_image_bound(e, cap)), one byte per
+    value, 1 for a hit; a larger n is read through its step, its
+    7!-block's high sum plus a low-digit sum.
     A search_cap over DEFAULT_SEARCH_CAP or below search_floor raises
     ValueError before the table is built. Unresolved lengths are
     reported by a RunSearch with complete=False rather than an error.
@@ -103,7 +104,9 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
                          f"floor {search_floor}")
     target = _fixed_point_index(atlas, p)
     top = min(search_cap, step_image_bound(e, search_cap))
-    hits = bytes(map(target.__eq__, atlas.extended_index_table(top)))
+    table = atlas.extended_index_table(top)
+    table[0] = 255  # unused -1; e <= 8 has at most 14 attractors
+    hits = bytes(table).translate(bytes(a == target for a in range(256)))
     low = _low_sums(e)
     high = [_step_sum(base, e, low) for base in range(0, search_cap + 1, _LOW)]
 
@@ -113,9 +116,12 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     starts: dict[int, int] = {}
     best, n = 0, search_floor  # no run below n is longer than best
     while best < m_max:
-        q = n + best
-        while q <= search_cap and not hit(q):
-            q += best + 1
+        q, stride = n + best, best + 1
+        while q <= top and not hits[q]:
+            q += stride
+        if top < q:  # only a value above top steps into the table for sure
+            while q <= search_cap and not hits[high[q // _LOW] + low[q % _LOW]]:
+                q += stride
         if q > search_cap:
             break
         start = end = q

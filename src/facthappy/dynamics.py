@@ -213,8 +213,9 @@ def _density_work(e: int, width: int) -> int:
     The sums over i - 1 free positions number at most one more than
     their largest value and at most Catalan(i), the count of digit
     multisets those positions admit; position i touches each of them
-    at most i + 2 times (i + 1 shifts of low, one of tally). Stops
-    early once over DENSITY_WORK_LIMIT.
+    at most i + 2 times (i + 1 shifts of low, one of tally). The shift
+    for the digit 0 is a plain copy of low, but the bound still counts
+    it as a shift. Stops early once over DENSITY_WORK_LIMIT.
     """
     work = 0
     top = 0
@@ -231,7 +232,8 @@ def _density_work(e: int, width: int) -> int:
 def _shift_into(dst: dict[int, int], src: dict[int, int], by: int) -> None:
     get = dst.get
     for s, c in src.items():
-        dst[s + by] = get(s + by, 0) + c
+        t = s + by
+        dst[t] = get(t, 0) + c
 
 
 def step_sum_tally(e: int, upper: int) -> dict[int, int]:
@@ -254,14 +256,15 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
     low, tally = {0: 1}, {0: 1}
     for i, d in enumerate(digits, start=1):
         powers = [a ** e for a in range(i + 1)]
-        grown: dict[int, int] = {}
-        for a in range(d):
-            _shift_into(grown, low, powers[a])
-        below = dict(grown)
-        _shift_into(below, tally, powers[d])
-        tally = below
+        grown = dict(low)  # the digit a = 0 adds 0 ** e = 0
+        if d:  # with d = 0 no a < d term: the tally carries over as it is
+            for a in range(1, d):
+                _shift_into(grown, low, powers[a])
+            below = dict(grown)
+            _shift_into(below, tally, powers[d])
+            tally = below
         if i < len(digits):
-            for a in range(d, i + 1):
+            for a in range(max(d, 1), i + 1):
                 _shift_into(grown, low, powers[a])
             low = grown
     return tally
@@ -354,13 +357,13 @@ class AttractorAtlas:
         totals = [0] * len(self.attractors)
         highs: dict[int, int] = {}
         for v, c in tally.items():
-            while v not in index:
+            while (a := index.get(v)) is None:
                 q, r = divmod(v, _LOW)
                 high = highs.get(q)
                 if high is None:
                     high = highs[q] = _step_sum(q * _LOW, e, low)
                 v = high + low[r]
-            totals[index[v]] += c
+            totals[a] += c
         return totals
 
     def extended_index_table(self, upper: int) -> list[int]:

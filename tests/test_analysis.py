@@ -162,6 +162,22 @@ def test_smallest_runs_matches_sweep_at_edges(atlas, e):
                 assert not same(last.m, end - 1).complete
 
 
+@pytest.mark.parametrize("e", (7, 8))
+def test_smallest_runs_matches_sweep_beyond_the_paper(atlas, e):
+    # 14 attractors at e = 7 and 7 at e = 8: the hit mask picks out
+    # target indices above 0, and every cap here is below the image bound.
+    at = atlas(e)
+    assert len(at.attractors) == {7: 14, 8: 7}[e]
+    for p in at.fixed_points:
+        for floor in (1, 2):
+            for cap in (floor, 5039, 5040, 5041, 10 ** 4, 15_000, 2 * 10 ** 4):
+                assert step_image_bound(e, cap) >= cap
+                for m_max in (1, 3, 50):
+                    assert smallest_runs(e, p, m_max, at, search_floor=floor,
+                                         search_cap=cap) == \
+                        sweep_runs(e, p, m_max, at, floor, cap)
+
+
 def test_smallest_runs_table_stops_at_image_bound(atlas, monkeypatch):
     asked = []
     extend = AttractorAtlas.extended_index_table

@@ -4,8 +4,9 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import _step_images, loop_step
+from conftest import _step_images, loop_natural, loop_step
 from facthappy import dynamics
 from facthappy.dynamics import (
     DENSITY_WORK_LIMIT,
@@ -294,10 +295,58 @@ def test_atlas_stores_exactly_the_closed_image_set(e, atlas):
         assert set(att.members) <= image_set
 
 
+def _tally_uppers():
+    """Uppers around factorials, and ones with zero factoradic digits.
+
+    k! and k! + 1 have zeros at every position but the top one or two;
+    the last two have a zero just below the top and zeros low down.
+    """
+    uppers = [0, 1, 5, 23, 24, 719, 5000, math.factorial(8) + 17]
+    for k in range(1, 9):
+        f = math.factorial(k)
+        uppers += [f - 1, f, f + 1, 2 * f]
+    uppers += [loop_natural((1, 2, 1, 2, 5, 0, 3)),
+               loop_natural((0, 0, 0, 4, 0, 6, 2))]
+    return uppers
+
+
 def test_step_sum_tally_matches_stream():
-    for e in (1, 2, 5):
-        for upper in (0, 1, 5, 23, 24, 719, 5000, math.factorial(8) + 17):
+    for e in range(1, 9):
+        for upper in _tally_uppers():
             assert step_sum_tally(e, upper) == Counter(_step_images(e, 0, upper))
+
+
+@settings(deadline=None)
+@given(e=st.integers(1, 8), upper=st.integers(0, 5 * 10 ** 4))
+def test_step_sum_tally_matches_stream_property(e, upper):
+    assert step_sum_tally(e, upper) == Counter(_step_images(e, 0, upper))
+
+
+def _shift_every_digit_tally(e, upper):
+    """The tally recurrence with every digit a shifted in, a = 0 included."""
+    digits = to_factoradic(upper).digits
+    low, tally = {0: 1}, {0: 1}
+    for i, d in enumerate(digits, start=1):
+        grown = Counter()
+        for a in range(d):
+            for s, c in low.items():
+                grown[s + a ** e] += c
+        below = Counter(grown)
+        for s, c in tally.items():
+            below[s + d ** e] += c
+        tally = dict(below)
+        for a in range(d, i + 1):
+            for s, c in low.items():
+                grown[s + a ** e] += c
+        low = grown
+    return tally
+
+
+def test_step_sum_tally_key_order():
+    for e in (1, 2, 5, 8):
+        for upper in _tally_uppers():
+            assert list(step_sum_tally(e, upper).items()) == \
+                list(_shift_every_digit_tally(e, upper).items())
 
 
 def test_totals_match_attractor_index(atlas):
