@@ -1,7 +1,6 @@
 """Exact factorial-base arithmetic and digit-power orbit dynamics."""
 
 from importlib import import_module as _import_module
-from sys import modules as _modules
 
 from .factoradic import (
     FactoradicRep, MalformedRepresentationError, add, digit_count, format,
@@ -24,38 +23,21 @@ _LAZY.update(dict.fromkeys((
 
 __all__ = [name for name in globals() if name[0] != "_"] + list(_LAZY)
 __version__ = "1.0.0"
-_SELF = _modules[__name__]
 
 
 def __getattr__(name: str):
-    """Import a lazy name's home module and keep the name here (PEP 562)."""
+    """Import a lazy name's home module and keep both names here (PEP 562).
+
+    Keeping the module under its home name too means a package copy kept
+    across a re-import reads every later name from the module it loaded.
+    """
     home = _LAZY.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = globals().get(home) or _load(home)
+    module = globals().get(home) or _import_module(f"{__name__}.{home}")
+    globals()[home] = module
     value = globals()[name] = module if name == home else getattr(module, name)
     return value
-
-
-def _load(home: str):
-    """Import home against this copy of the package and its modules.
-
-    Once the package is deleted from sys.modules and imported afresh, an
-    older copy still binds its own dynamics; the newer entries come back.
-    """
-    if _modules.get(__name__) is _SELF:  # the usual case: nothing to swap
-        return _import_module(f"{__name__}.{home}")
-    ours = {__name__: _SELF, f"{__name__}.factoradic": factoradic,
-            f"{__name__}.dynamics": dynamics, f"{__name__}.{home}": None}
-    saved = {key: _modules.pop(key, None) for key in ours}
-    _modules.update((key, mod) for key, mod in ours.items() if mod)
-    try:
-        return _import_module(f"{__name__}.{home}")
-    finally:
-        if saved[__name__] is not None:  # a newer copy is current
-            for key in ours:
-                _modules.pop(key, None)
-            _modules.update((key, mod) for key, mod in saved.items() if mod)
 
 
 def __dir__() -> list[str]:

@@ -60,7 +60,7 @@ class DensityReport:
 def _fixed_point_index(atlas: AttractorAtlas, p: int) -> int:
     if p not in atlas.fixed_points:
         raise ValueError(f"{p} is not a fixed point for e={atlas.e}")
-    return atlas.attractors.index(Attractor.fixed_point(p))
+    return atlas.fixed_points.index(p)
 
 
 def is_p_happy(n: int, e: int, p: int, atlas: AttractorAtlas | None = None) -> bool:
@@ -71,7 +71,7 @@ def is_p_happy(n: int, e: int, p: int, atlas: AttractorAtlas | None = None) -> b
         _fixed_point_index(atlas, p)
     elif happy_step_nat(p, e) != p:
         raise ValueError(f"{p} is not a fixed point for e={e}")
-    return classify(n, e, atlas).attractor == Attractor.fixed_point(p)
+    return classify(n, e, atlas).attractor.members == (p,)
 
 
 def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,

@@ -81,7 +81,7 @@ def iterate(n: int, e: int, count: int) -> int:
 
 
 def _check_exponent(e: int) -> None:
-    if e < 1:
+    if not isinstance(e, int) or e < 1:
         raise ValueError(f"exponent must be a positive integer, got {e}")
     if e > EXPONENT_LIMIT:
         raise ValueError(

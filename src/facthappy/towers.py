@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import (
-    Attractor, AttractorAtlas, ReplayError, SizeCapError, WitnessError,
-    happy_step, happy_step_nat)
+    AttractorAtlas, ReplayError, SizeCapError, WitnessError, happy_step,
+    happy_step_nat)
 from .factoradic import FactoradicRep, add, digit_count, shift, to_factoradic, to_natural
 
 # Longest run build_sequence certifies. Each index is looked up, stepped
@@ -102,7 +102,7 @@ def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas, *,
     q_by_member: dict[int, int] = {}
     for u in members:
         landed, q = atlas.lookup(offset + u)
-        if landed != Attractor.fixed_point(p) or q > cap:
+        if landed.members != (p,) or q > cap:
             raise WitnessError(
                 f"offset {offset}: member {u} did not reach {p} within "
                 f"{cap} steps (orbit settles on {landed.text})")

@@ -14,7 +14,8 @@ from facthappy.analysis import (
     smallest_runs,
 )
 from facthappy.dynamics import (
-    Attractor, AttractorAtlas, happy_step_nat, step_image_bound)
+    Attractor, AttractorAtlas, WitnessError, happy_step_nat, step_image_bound)
+from facthappy.towers import nice_check
 
 
 def _orbit_reaches(n, e, p):
@@ -237,6 +238,73 @@ def test_density_matches_scan_at_factorials(atlas, e):
             if upper >= 1:
                 _assert_matches_scan(e, upper, atlas(e))
 
+
+
+# For each fixed point (e, p): the least starts of runs of length 1..5
+# below 5000 at search floors 1 and 2, whether all five were found, how
+# many n in [1, 5000] are p-happy, and the least offset y <= 500 that
+# nice_check accepts (None if there is none).
+FIXED_POINT_ANSWERS = {
+    (1, 1): ((1, 1, 1, 1, 1), (2, 2, 2, 2, 2), True, 5000, 0),
+    (2, 1): ((1, 1, 1, 6, 112), (2, 2, 6, 6, 112), True, 3114, 2),
+    (2, 4): ((4, 151), (4, 151), False, 304, None),
+    (2, 5): ((5, 13, 65, 65, 91), (5, 13, 65, 65, 91), True, 1582, 9),
+    (3, 1): ((1, 1, 1, 1, 1), (2, 2, 2, 2, 2), True, 4588, 2),
+    (3, 16): ((16, 1747), (16, 1747), False, 111, None),
+    (3, 17): ((17, 61, 3576), (17, 61, 3576), False, 301, None),
+    (4, 1): ((1, 1, 1, 1, 1), (2, 2, 2, 2, 2), True, 4892, 6),
+    (4, 658): ((617, 661), (617, 661), False, 48, None),
+    (4, 659): ((604, 1381), (604, 1381), False, 60, None),
+    (5, 1): ((1, 1, 1, 1, 1), (2, 2, 2, 2, 2), True, 395, None),
+    (5, 34): ((11, 17, 21, 65, 65), (11, 17, 21, 65, 65), True, 2023, None),
+    (5, 35): ((35, 157, 3576), (35, 157, 3576), False, 106, None),
+    (5, 308): ((70, 70, 91), (70, 70, 91), False, 245, None),
+    (5, 309): ((105, 223, 223), (105, 223, 223), False, 229, None),
+    (5, 1058): ((94, 100, 106, 106, 106), (94, 100, 106, 106, 106), True, 526, None),
+    (5, 1059): ((95, 331, 4231), (95, 331, 4231), False, 185, None),
+    (6, 1): ((1, 1, 1, 6), (2, 2, 6, 6), False, 52, None),
+    (6, 8258): ((580, 580, 586, 586, 586), (580, 580, 586, 586, 586), True, 157, None),
+    (6, 8259): ((1307, 4471), (1307, 4471), False, 21, None),
+    (7, 1): ((1, 1, 1, 1, 1), (2, 2, 2, 2, 2), True, 118, None),
+    (7, 130): ((11, 37), (11, 37), False, 55, None),
+    (7, 131): ((35, 157), (35, 157), False, 50, None),
+    (7, 2318): ((16, 16, 16, 16, 16), (16, 16, 16, 16, 16), True, 1133, None),
+    (7, 2319): ((22, 181), (22, 181), False, 110, None),
+    (7, 2939396): ((4907,), (4907,), False, 4, None),
+    (7, 2939397): ((), (), False, 0, None),
+    (7, 3205134): ((4900,), (4900,), False, 2, None),
+    (7, 3205135): ((), (), False, 0, None),
+    (8, 1): ((1, 1, 1, 6), (2, 2, 6, 6), False, 42, None),
+    (8, 528260): ((3594, 3594, 3594, 3594), (3594, 3594, 3594, 3594), False, 8, None),
+    (8, 528261): ((), (), False, 0, None),
+    (8, 2201570): ((), (), False, 0, None),
+    (8, 2201571): ((), (), False, 0, None),
+}
+
+
+def test_every_fixed_point_answers_as_pinned(atlas):
+    got = {}
+    for e in range(1, 9):
+        at = atlas(e)
+        for p in at.fixed_points:
+            one, two = (smallest_runs(e, p, 5, at, search_floor=floor,
+                                      search_cap=5000) for floor in (1, 2))
+            assert one.complete == two.complete
+            assert is_p_happy(p, e, p) and is_p_happy(p, e, p, at)
+            happy = sum(is_p_happy(n, e, p, at) for n in range(1, 5001))
+            got[e, p] = (tuple(r.start for r in one.records),
+                         tuple(r.start for r in two.records), one.complete,
+                         happy, next((y for y in range(501)
+                                      if _nice(e, p, y, at)), None))
+    assert got == FIXED_POINT_ANSWERS
+
+
+def _nice(e, p, offset, at):
+    try:
+        nice_check(e, p, offset, at)
+    except WitnessError:
+        return False
+    return True
 
 @pytest.mark.parametrize("e", (2, 3, 4, 5))
 def test_density_difference_at_astronomical_bound(atlas, e):

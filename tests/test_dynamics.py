@@ -1,7 +1,9 @@
 import math
 import random
+import re
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,19 @@ def test_exponent_limit():
             assert time.perf_counter() - started < 0.05
     assert dynamics._low_sums.cache_info().currsize == 0
 
+
+
+def test_non_integer_exponent_is_refused():
+    calls = (smallest_j, descent_bound, enumerate_attractors,
+             lambda e: classify(5, e), lambda e: happy_step_nat(10 ** 300, e),
+             lambda e: happy_step_nat(5, e), lambda e: iterate(5, e, 2),
+             lambda e: happy_step(to_factoradic(5), e),
+             lambda e: step_sum_tally(e, 2021))
+    for call in calls:
+        for e in (2.5, 2.0, 1.0, Fraction(2), "2"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"exponent must be a positive integer, got {e}") + "$"):
+                call(e)
 
 def test_happy_step_nat_matches_loop_at_block_and_table_edges():
     block = math.factorial(7)
@@ -412,6 +427,18 @@ def test_atlas_beyond_the_paper(e, atlas):
     for n in [rng.randrange(1, 10 ** 12) for _ in range(300)]:
         _assert_matches_oracle(at, n)
 
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_fixed_points_lead_the_attractors_in_ascending_order(e, atlas):
+    # analysis and towers find a fixed point p by its place in
+    # fixed_points, which is its place in attractors.
+    at = atlas(e)
+    fixed = at.fixed_points
+    assert list(fixed) == sorted(fixed)
+    assert at.attractors[:len(fixed)] == tuple(
+        Attractor.fixed_point(p) for p in fixed)
+    assert not any(a.is_fixed_point for a in at.attractors[len(fixed):])
 
 def test_enumerate_attractors_refuses_failed_certificate(monkeypatch):
     fake = DescentBound(e=2, j=3, bound=23, tail_offset=0,

@@ -123,28 +123,51 @@ def test_unknown_name_raises_attribute_error():
         exec("from facthappy import nope", {})
 
 
-def test_older_copy_loads_against_its_own_modules():
+def test_older_copy_keeps_the_layers_it_loaded():
     # A copy of the package kept after it was deleted from sys.modules
-    # and imported afresh binds its lazy modules to its own dynamics, and
-    # leaves the newer copy's entries as they were.
+    # and imported afresh loads a layer once and keeps it, so after a
+    # second re-import its emit_report still takes its own RunSearch.
+    # Its atlas gives the same answers as the newer copy's.
     checks = fresh("""
 import json, sys
+
+def reimport():
+    for key in [k for k in sys.modules if k.split(".")[0] == "facthappy"]:
+        del sys.modules[key]
+    import facthappy
+    return facthappy
+
 import facthappy as old
 atlas = old.enumerate_attractors(2)
-for key in [k for k in sys.modules if k.split(".")[0] == "facthappy"]:
-    del sys.modules[key]
-import facthappy as new
-out = {"starts": [r.start for r in old.smallest_runs(2, 1, 3, atlas).records],
+new = reimport()
+new_atlas = new.enumerate_attractors(2)
+search = old.smallest_runs(2, 1, 3, atlas)
+out = {"starts": [r.start for r in search.records],
        "q": old.nice_check(2, 1, 20, atlas).q_by_member[4]}
-out["old_bound"] = (old.analysis.Attractor is old.dynamics.Attractor
-                    and old.towers.Attractor is old.dynamics.Attractor)
-out["new_untouched"] = (sys.modules["facthappy"] is new and sorted(
-    k for k in sys.modules if k.startswith("facthappy.")) == [
-        "facthappy.dynamics", "facthappy.factoradic"])
-out["new_bound"] = (new.analysis.Attractor is new.dynamics.Attractor
-                    and new.analysis is not old.analysis
-                    and sys.modules["facthappy.analysis"] is new.analysis)
+
+def nice(fh, at, p, offset):
+    try:
+        return sorted(fh.nice_check(2, p, offset, at).q_by_member.items())
+    except Exception as exc:
+        return str(exc)
+
+cases = [(p, n) for p in (1, 4, 5) for n in range(1, 301)]
+out["happy"] = ([old.is_p_happy(n, 2, p, atlas) for p, n in cases]
+                == [new.is_p_happy(n, 2, p, new_atlas) for p, n in cases])
+cases = [(1, 20), (4, 2841), (5, 45), (4, 20), (5, 0)]
+out["nice"] = [nice(old, atlas, p, y) for p, y in cases]
+out["nice_same"] = out["nice"] == [nice(new, new_atlas, p, y) for p, y in cases]
+newer = reimport()
+text = old.emit_report(search, "json")
+out["emit_same"] = text == newer.emit_report(
+    newer.smallest_runs(2, 1, 3, newer.enumerate_attractors(2)), "json")
+out["kept"] = (old.emit_report is old.analysis.emit_report
+               and old.smallest_runs is old.analysis.smallest_runs
+               and old.nice_check is old.towers.nice_check)
 print(json.dumps(out))
 """)
-    assert checks == {"starts": [2, 2, 6], "q": 1, "old_bound": True,
-                      "new_untouched": True, "new_bound": True}
+    nice = checks.pop("nice")
+    assert [type(answer) for answer in nice] == [list, list, list, str, str]
+    assert nice[0] == [[1, 3], [4, 1], [5, 2]]
+    assert checks == {"starts": [2, 2, 6], "q": 1, "happy": True,
+                      "nice_same": True, "emit_same": True, "kept": True}
