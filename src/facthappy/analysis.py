@@ -119,9 +119,14 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
         q, stride = n + best, best + 1
         while q <= top and not hits[q]:
             q += stride
-        if top < q:  # only a value above top steps into the table for sure
-            while q <= search_cap and not hits[high[q // _LOW] + low[q % _LOW]]:
-                q += stride
+        while top < q <= search_cap:  # read through the step, block by block
+            base, r = q - q % _LOW, q % _LOW
+            h, stop = high[base // _LOW], min(_LOW, search_cap + 1 - base)
+            while r < stop and not hits[h + low[r]]:
+                r += stride
+            q = base + r
+            if r < stop:
+                break
         if q > search_cap:
             break
         start = end = q

@@ -244,7 +244,8 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
     strings give it; tally does the same for the n in [0, upper mod i!].
     Position i, where upper has digit d, extends both: an n whose digit
     there is some a < d has a free lower part, one whose digit is d
-    continues the old tally. Cost follows the distinct sums, not upper;
+    continues the old tally. While every digit so far is maximal, the
+    tally equals low and is low. Cost follows the distinct sums, not upper;
     over DENSITY_WORK_LIMIT by _density_work it raises ValueError first.
     """
     _check_exponent(e)
@@ -253,14 +254,18 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
         raise ValueError(
             f"tallying the step sums up to upper={upper} at e={e} may take "
             f"over {DENSITY_WORK_LIMIT:,} dictionary updates")
-    low, tally = {0: 1}, {0: 1}
+    low = tally = {0: 1}
     for i, d in enumerate(digits, start=1):
         powers = [a ** e for a in range(i + 1)]
         grown = dict(low)  # the digit a = 0 adds 0 ** e = 0
+        for a in range(1, d):
+            _shift_into(grown, low, powers[a])
+        if tally is low and d == i:  # all digits so far maximal: tally is low
+            _shift_into(grown, low, powers[i])
+            low = tally = grown
+            continue
         if d:  # with d = 0 no a < d term: the tally carries over as it is
-            for a in range(1, d):
-                _shift_into(grown, low, powers[a])
-            below = dict(grown)
+            below = grown if i == len(digits) else dict(grown)
             _shift_into(below, tally, powers[d])
             tally = below
         if i < len(digits):
@@ -373,7 +378,8 @@ class AttractorAtlas:
         digits from the 7! place up, so the step of base + r is the
         block's high sum plus the step of r. A value up to memo_bound is
         read through its image, which is in Im; above memo_bound every
-        image is smaller than its value, so it is read from the table.
+        image is smaller than its value, so it is read from the table,
+        in one pass when the block's largest image is below its base.
         Callers bound upper.
         """
         covered = min(upper, self.memo_bound)
@@ -382,8 +388,11 @@ class AttractorAtlas:
         append = table.append
         for base in range(0, upper + 1, _LOW):
             high = _step_sum(base, e, low)
-            start = 0 if base else 1
             end = min(_LOW, upper + 1 - base)
+            if high + low[-1] < base:  # every image is in an earlier block
+                table += [table[high + s] for s in low[:end]]
+                continue
+            start = 0 if base else 1
             split = max(start, min(end, covered + 1 - base))
             table += [index[high + s] for s in low[start:split]]
             for s in low[split:end]:
@@ -413,17 +422,24 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
         raise ValueError(f"exponent {e}: the atlas is too large: {exc}") from None
     del index[0]
     low = _low_sums(e)
+    highs: dict[int, int] = {}  # 7!-block quotient -> its high sum
     steps: dict[int, int] = {}
     found: list[tuple[int, ...]] = []
     # Each walk stamps what it visits with -2 - n and stops at the first
     # value not -1; meeting its own stamp closes a new attractor.
-    for n in index:
+    for n, a in index.items():
+        if a != -1:  # resolved by an earlier walk
+            continue
         path: list[int] = []
         v = n
         while index[v] == -1:
             index[v] = -2 - n
             path.append(v)
-            v = _step_sum(v, e, low)
+            q, r = divmod(v, _LOW)
+            high = highs.get(q)
+            if high is None:
+                high = highs[q] = _step_sum(q * _LOW, e, low)
+            v = high + low[r]
         if index[v] == -2 - n:
             k = path.index(v)
             for mv in path[k:]:

@@ -288,10 +288,13 @@ def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
                 f"digits, above the cap of {size_cap} ({_size_note(chain)})")
         if level == chain.depth - 1:
             return shift(preimage_ones(width), chain.shift)
-        # Next level's width is this level's value. Estimate first: the
-        # value exceeds (shift + width)!, so beyond a small threshold it
-        # cannot fit under any practical cap.
-        if math.lgamma(chain.shift + width + 1) / math.log(10) > len(str(size_cap)) + 1:
+        # Next level's width is this level's value, over (shift + width)!:
+        # refuse once an exact running product of that factorial passes limit.
+        product, k, limit = 1, 1, 10 ** (len(str(size_cap)) + 1)
+        while product <= limit and k < chain.shift + width:
+            k += 1
+            product *= k
+        if product > limit:
             raise SizeCapError(
                 f"level {chain.depth - 2 - level} would need about "
                 f"10^{_level_width_log10(chain):.0f} digits, above the cap of "

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import scan_density, sweep_runs, walk_tally
 from facthappy.analysis import (
     RunRecord,
+    RunSearch,
     density,
     emit_report,
     is_p_happy,
@@ -177,6 +178,76 @@ def test_smallest_runs_matches_sweep_beyond_the_paper(atlas, e):
                     assert smallest_runs(e, p, m_max, at, search_floor=floor,
                                          search_cap=cap) == \
                         sweep_runs(e, p, m_max, at, floor, cap)
+
+
+# At e = 2 the table stops at step_image_bound(2, 10^6) = 285, so every
+# probe above 285 reads 7!-block high sums. These caps sit on each side
+# of every block edge below 10^6 (198 * 7! = 997,920).
+_BLOCK_EDGE_CAPS = sorted(
+    k * factorial(7) + d for k in range(1, 199) for d in (-1, 0, 1))
+
+
+def _cut(full, cap):
+    """The sweep at a smaller cap, read off a sweep to a larger one.
+
+    The least start of length m stays the answer at cap iff its run
+    ends by cap; every later start of such a run ends later still.
+    """
+    records = tuple(r for r in full.records if r.start + r.m - 1 <= cap)
+    return RunSearch(e=full.e, p=full.p, search_floor=full.search_floor,
+                     search_cap=cap, records=records,
+                     complete=len(records) == len(full.records) and full.complete)
+
+
+@pytest.mark.parametrize("floor", (1, 2))
+def test_smallest_runs_at_every_block_edge_cap(atlas, floor):
+    # The least 9-run of 5-happy numbers starts at 10,003: a cap below its
+    # end cuts the probe in the cap's block, and a later cap leaves the
+    # search done before its last block.
+    at, p, m_max = atlas(2), 5, 9
+    assert step_image_bound(2, 10 ** 6) == 285
+    full = sweep_runs(2, p, m_max, at, floor, _BLOCK_EDGE_CAPS[-1])
+    assert full.complete
+    last = full.records[-1]
+    caps = [c for c in _BLOCK_EDGE_CAPS if c <= last.start + 2 * factorial(7)]
+    for cap in caps[:9]:  # the cut agrees with sweeps of its own
+        assert _cut(full, cap) == sweep_runs(2, p, m_max, at, floor, cap)
+    for cap in _BLOCK_EDGE_CAPS:
+        assert smallest_runs(2, p, m_max, at, search_floor=floor,
+                             search_cap=cap) == _cut(full, cap)
+
+
+@pytest.mark.parametrize("floor", (1, 2))
+@pytest.mark.parametrize("p, m_max", ((1, 64), (4, 6), (5, 11)))
+def test_smallest_runs_probes_to_block_edge_caps(atlas, floor, p, m_max):
+    # No run of length m_max below 10^6: the probe reads block by block
+    # up to the cap, and its last block is cut there.
+    at = atlas(2)
+    full = sweep_runs(2, p, m_max, at, floor, _BLOCK_EDGE_CAPS[-1])
+    assert not full.complete
+    for k in (1, 2, 40, 160, 198):
+        for cap in (k * factorial(7) - 1, k * factorial(7), k * factorial(7) + 1):
+            expected = _cut(full, cap)
+            if k <= 2:
+                assert expected == sweep_runs(2, p, m_max, at, floor, cap)
+            assert smallest_runs(2, p, m_max, at, search_floor=floor,
+                                 search_cap=cap) == expected
+
+
+@pytest.mark.parametrize("floor", (1, 2))
+def test_smallest_runs_widens_a_run_across_a_block_edge(atlas, floor):
+    # 80639 = 16 * 7! - 1 and 80640 are both 4-happy at e = 2, well above
+    # the table's top of 285: the probe of this search lands on 80640
+    # and widens the hit back into the block below.
+    at = atlas(2)
+    target = at.fixed_points.index(4)
+    assert [at.attractor_index(n) == target
+            for n in range(80638, 80642)] == [False, True, True, False]
+    for cap in (80639, 80640, 10 ** 6):
+        for m_max in (3, 6):
+            assert smallest_runs(2, 4, m_max, at, search_floor=floor,
+                                 search_cap=cap) == \
+                sweep_runs(2, 4, m_max, at, floor, cap)
 
 
 def test_smallest_runs_table_stops_at_image_bound(atlas, monkeypatch):

@@ -264,6 +264,26 @@ def test_extended_index_table_matches_attractor_index(e, atlas):
         assert at.extended_index_table(upper) == expected[:upper + 1]
 
 
+@pytest.mark.parametrize("e", range(1, 9))
+def test_extended_index_table_one_pass_blocks(e, atlas):
+    # From the first 7!-block whose largest image lies below its base, a
+    # block is read from the earlier entries alone.
+    at = atlas(e)
+    block, low = math.factorial(7), dynamics._low_sums(e)
+    first = next(base for base in range(block, 10 ** 8, block)
+                 if dynamics._step_sum(base, e, low) + low[-1] < base)
+    table = at.extended_index_table(first + 2 * block)
+    for n in range(max(1, first - block), first + 2 * block + 1):
+        assert table[n] == at.attractor_index(n)
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+def test_atlas_lookup_of_every_image_value_matches_oracle(e, atlas):
+    at = atlas(e)
+    for v in at._index:
+        _assert_matches_oracle(at, v)
+
+
 def test_atlas_rejects_nonpositive(atlas):
     at = atlas(2)
     for n in (0, -1):
@@ -362,6 +382,31 @@ def test_step_sum_tally_key_order():
         for upper in _tally_uppers():
             assert list(step_sum_tally(e, upper).items()) == \
                 list(_shift_every_digit_tally(e, upper).items())
+
+
+def _maximal_prefix_uppers():
+    """d * k! - 1, and uppers whose run of maximal digits breaks at b.
+
+    Below d * k! - 1 every digit is maximal; in the others, positions
+    1..b-1 hold their largest digit, position b a smaller one, and up to
+    two digits follow, eight digits in all.
+    """
+    uppers = {d * math.factorial(k) - 1
+              for k in range(1, 10) for d in range(1, k + 1)}
+    for b in range(1, 9):
+        for d in range(b):
+            for tail in ((), (b + 1,), (1,), (0, b + 2)):
+                if b + len(tail) <= 8:
+                    uppers.add(loop_natural(tuple(range(1, b)) + (d,) + tail))
+    return sorted(uppers)
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_step_sum_tally_on_maximal_prefixes(e):
+    # While every digit so far is maximal the tally is low itself.
+    for upper in _maximal_prefix_uppers():
+        assert list(step_sum_tally(e, upper).items()) == \
+            list(_shift_every_digit_tally(e, upper).items())
 
 
 def test_totals_match_attractor_index(atlas):

@@ -93,6 +93,26 @@ print(json.dumps(out))
     assert checks == dict.fromkeys(EXPORTED, True)
 
 
+def test_exceptions_load_no_lazy_layer():
+    # The towers exceptions live in dynamics, which the package imports
+    # up front, so reading them imports neither towers nor analysis.
+    checks = fresh("""
+import json, sys
+import facthappy
+from facthappy import ReplayError
+errors = [facthappy.WitnessError, ReplayError, facthappy.SizeCapError]
+print(json.dumps({
+    "home": [err.__module__ for err in errors],
+    "lazy": sorted(m for m in sys.modules
+                   if m in ("facthappy.towers", "facthappy.analysis")),
+    "all": sorted(facthappy.__all__),
+}))
+""")
+    assert checks == {"home": ["facthappy.dynamics"] * 3, "lazy": [],
+                      "all": sorted(EXPORTED)}
+    assert len(EXPORTED) == 48
+
+
 def test_star_import_and_from_import_match_home_modules():
     checks = fresh("""
 import json, sys

@@ -335,6 +335,54 @@ def test_materialize_depths(atlas):
         materialize(ChainNumber(50, 3, 1), 40)
 
 
+def _float_rule(x, size_cap):
+    """The lgamma estimate materialize once refused a level by."""
+    return math.lgamma(x + 1) / math.log(10) > len(str(size_cap)) + 1
+
+
+def test_materialize_refuses_by_exact_factorial_bound():
+    # The level below one of width w and pad t needs more than (t + w)!
+    # digits. It is refused at once when that factorial passes
+    # 10 ** (len(str(size_cap)) + 1); the exact product decides as the
+    # float estimate did, with x! just below and just above the bound.
+    for size_cap in (1, 9, 10, 99, 100, 999, 1000, 12345, 10 ** 5 - 1, 10 ** 6):
+        limit = 10 ** (len(str(size_cap)) + 1)
+        top = max(x for x in range(1, 40) if math.factorial(x) <= limit)
+        assert math.factorial(top) <= limit < math.factorial(top + 1)
+        grid = {(t, w) for t in range(7) for w in range(1, 8)}
+        grid |= {(t, x - t) for x in range(top - 1, top + 3)
+                 for t in range(x)}
+        for t, w in sorted(grid):
+            exact = math.factorial(t + w) > limit
+            assert exact == _float_rule(t + w, size_cap)
+            try:
+                materialize(ChainNumber(w, t, 2), size_cap)
+                refused = ""
+            except SizeCapError as exc:
+                refused = str(exc)
+            if t + w <= size_cap:
+                assert ("would need about" in refused) == exact
+    pinned = {
+        (20, 2, 10 ** 6): "level 0 would need about 10^21 digits, above the "
+        "cap of 1000000 (ones-block tower: depth 2, pad 2, top value 20; at "
+        "least 10^21 digits when expanded)",
+        (5, 3, 100): "level 0 would need about 10^5 digits, above the cap of "
+        "100 (ones-block tower: depth 2, pad 3, top value 5; at least 10^5 "
+        "digits when expanded)",
+        (4, 4, 999): "level 0 would need about 10^5 digits, above the cap of "
+        "999 (ones-block tower: depth 2, pad 4, top value 4; at least 10^5 "
+        "digits when expanded)",
+        (9, 0, 10 ** 5): "level 0 needs 409113 digits, above the cap of "
+        "100000 (ones-block tower: depth 2, pad 0, top value 9; at least 10^6 "
+        "digits when expanded)",
+    }
+    for (base, t, size_cap), text in pinned.items():
+        with pytest.raises(SizeCapError) as caught:
+            materialize(ChainNumber(base, t, 2), size_cap)
+        assert str(caught.value) == text
+    assert len(materialize(ChainNumber(7, 1, 2), 10 ** 6).digits) == 46233
+
+
 def test_chain_level_rewrite_holds_concretely():
     # one step of a padded ones block plus a small y adds the step of y
     rng = random.Random(8)
