@@ -40,14 +40,6 @@ def _over_limit(what: str, digits: int) -> str:
     return f"{what} has {digits:,} decimal digits, over the limit of {DIGIT_LIMIT:,}"
 
 
-def _decimal_digits(n: int) -> int:
-    """Decimal digits of n >= 1, without turning n into a string."""
-    digits = n.bit_length() * 1233 >> 12  # 1233/4096 < log10(2): a lower bound
-    while n >= 10 ** digits:
-        digits += 1
-    return digits
-
-
 def integer(text: str) -> int:
     """argparse type: an int of at most DIGIT_LIMIT digits."""
     digits = len(text.strip().lstrip("+-"))
@@ -120,7 +112,8 @@ def _cmd_convert(args) -> int:
     if args.digits is not None:
         value = factoradic.to_natural(factoradic.parse(args.digits))
         if value >= 10 ** DIGIT_LIMIT:
-            raise UsageError(_over_limit("the result", _decimal_digits(value)))
+            raise UsageError(_over_limit(
+                "the result", factoradic._decimal_digits(value)))
         print(value)
     else:
         if args.n < 0:

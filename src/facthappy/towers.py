@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from .dynamics import (
     AttractorAtlas, ReplayError, SizeCapError, WitnessError, happy_step,
     happy_step_nat)
-from .factoradic import FactoradicRep, add, digit_count, shift, to_factoradic, to_natural
+from .factoradic import (
+    FactoradicRep, _decimal_digits, add, digit_count, shift, to_factoradic,
+    to_natural)
 
 # Longest run build_sequence certifies. Each index is looked up, stepped
 # and replayed, so the time is linear in m: m = 10^4 takes 0.3-1.2 s for
@@ -257,12 +259,19 @@ def _level_width_log10(chain: ChainNumber) -> float:
     return math.log10(max(width, 1))
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or its length where str() refuses over 4,300 digits."""
+    digits = _decimal_digits(abs(n))
+    return str(n) if digits <= 4300 else f"<{digits:,}-digit integer>"
+
+
 def _size_note(chain: ChainNumber) -> str:
     if chain.depth == 0:
         return f"concrete value {chain.base}"
     if chain.depth == 1:
-        return (f"ones block of length {chain.base} shifted by {chain.shift} "
-                f"({chain.shift + chain.base} digits)")
+        return (f"ones block of length {_decimal(chain.base)} shifted by "
+                f"{_decimal(chain.shift)} ({_decimal(chain.shift + chain.base)} "
+                f"digits)")
     return (f"ones-block tower: depth {chain.depth}, pad {chain.shift}, "
             f"top value {chain.base}; at least 10^{_level_width_log10(chain):.0f} "
             f"digits when expanded")
@@ -284,13 +293,14 @@ def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
         # A level of width w and pad t expands to t + w digits.
         if chain.shift + width > size_cap:
             raise SizeCapError(
-                f"level {chain.depth - 1 - level} needs {chain.shift + width} "
-                f"digits, above the cap of {size_cap} ({_size_note(chain)})")
+                f"level {chain.depth - 1 - level} needs "
+                f"{_decimal(chain.shift + width)} digits, above the cap of "
+                f"{_decimal(size_cap)} ({_size_note(chain)})")
         if level == chain.depth - 1:
             return shift(preimage_ones(width), chain.shift)
         # Next level's width is this level's value, over (shift + width)!:
         # refuse once an exact running product of that factorial passes limit.
-        product, k, limit = 1, 1, 10 ** (len(str(size_cap)) + 1)
+        product, k, limit = 1, 1, 10 ** (_decimal_digits(size_cap) + 1)
         while product <= limit and k < chain.shift + width:
             k += 1
             product *= k
@@ -298,7 +308,7 @@ def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
             raise SizeCapError(
                 f"level {chain.depth - 2 - level} would need about "
                 f"10^{_level_width_log10(chain):.0f} digits, above the cap of "
-                f"{size_cap} ({_size_note(chain)})")
+                f"{_decimal(size_cap)} ({_size_note(chain)})")
         width = sum(math.factorial(chain.shift + i) for i in range(1, width + 1))
     raise AssertionError("unreachable")
 

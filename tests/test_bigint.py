@@ -1,12 +1,13 @@
 """The split conversion against the one-radix-at-a-time loop, at every size.
 
 Every public conversion runs the split kernels, which divide by the
-products of a cached tree of radix blocks above factoradic._LEAF_BITS
-bits and run one radix at a time below. The loops in conftest.py define
-the digits; these tests hold the kernels to them from 0 up to 2^17 bits,
-across the thresholds, at the tree's own node products and block edges,
-from an empty cache in a fresh interpreter and under threads, and check
-the identities the paper's certificates use on integers of thousands of
+products of a cached tree of radix blocks, factoradic._WIDTH radices
+each, from the product of the first block on and run one radix at a
+time below. The loops in conftest.py define the digits; these tests
+hold the kernels to them from 0 up to 2^17 bits, across the thresholds,
+at the tree's own node products, block edges and level changes, from an
+empty cache in a fresh interpreter and under threads, and check the
+identities the paper's certificates use on integers of thousands of
 digits.
 """
 
@@ -23,12 +24,20 @@ from conftest import loop_add, loop_digits, loop_natural, loop_step
 from facthappy import classify, factoradic, happy_step_nat
 from facthappy.dynamics import _TABLE_BITS
 from facthappy.factoradic import (
-    _LEAF_BITS, FactoradicRep, _edge, _node, add, digit_count, parse,
-    to_factoradic, to_natural)
+    _WIDTH, FactoradicRep, _node, add, digit_count, parse, to_factoradic,
+    to_natural)
 from facthappy.towers import additivity_check
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 BIG = settings(max_examples=25, deadline=None)
+# The least integer the tree divides: the product of block 0.
+THRESHOLD = _node(0, 0)
+T_BITS = THRESHOLD.bit_length()
+
+
+def first_radix(j):
+    """First radix of block j: the edge between blocks j - 1 and j."""
+    return 2 + _WIDTH * j
 
 
 @st.composite
@@ -41,8 +50,8 @@ def big_ints(draw, lo_bits=2 ** 10, hi_bits=2 ** 17):
 
 def any_ints():
     """Small integers, which the split kernels run by the loop, or big ones."""
-    return st.one_of(st.integers(0, 2 ** _LEAF_BITS),
-                     big_ints(_LEAF_BITS // 2, 2 ** 17))
+    return st.one_of(st.integers(0, _node(1, 0)),
+                     big_ints(T_BITS // 2, 2 ** 17))
 
 
 def check_all(n):
@@ -78,7 +87,7 @@ def test_to_natural_matches_loop(n):
 
 
 @BIG
-@given(x=st.one_of(st.just(0), st.integers(0, 2 ** _LEAF_BITS),
+@given(x=st.one_of(st.just(0), st.integers(0, _node(1, 0)),
                    big_ints(1, 2 ** 17)),
        y=any_ints())
 def test_add_matches_loop(x, y):
@@ -92,7 +101,8 @@ def test_digit_count_matches_loop(n):
     assert digit_count(n) == len(loop_digits(n))
 
 
-@pytest.mark.parametrize("bits", [_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1,
+# 512 bits lies between the products of one block and of two.
+@pytest.mark.parametrize("bits", [511, 512, 513, T_BITS - 1, T_BITS, T_BITS + 1,
                                   _TABLE_BITS - 1, _TABLE_BITS, _TABLE_BITS + 1])
 def test_threshold_plus_minus_one_bit(bits):
     rng = random.Random(bits)
@@ -102,11 +112,19 @@ def test_threshold_plus_minus_one_bit(bits):
         check_all(n)
 
 
+def test_tree_threshold_plus_minus_one():
+    # to_natural joins along the tree from four blocks on: the product of
+    # blocks 0-2 minus 1 is the longest string it evaluates by Horner's rule.
+    for product in (THRESHOLD, _node(1, 0), math.factorial(1 + 3 * _WIDTH)):
+        for n in (product - 1, product, product + 1):
+            check_all(n)
+
+
 def test_factorials_across_threshold():
-    # k is the least k with k! over the threshold: k! - 1 keeps every
-    # digit at its maximum below it, k! and k! + 1 are one digit longer.
-    k = next(k for k in range(2, 10 ** 4)
-             if math.factorial(k).bit_length() > _LEAF_BITS)
+    # k is the least k with k! at or over the threshold: k! - 1 keeps
+    # every digit at its maximum below it, k! and k! + 1 are one digit
+    # longer.
+    k = next(k for k in range(2, 10 ** 4) if math.factorial(k) >= THRESHOLD)
     for j in (k - 1, k, k + 1, 2 * k, 5 * k):
         f = math.factorial(j)
         for n in (f - 1, f, f + 1):
@@ -119,7 +137,7 @@ def test_remainder_blocks_with_leading_zeros():
     # j <= K, so the low split blocks come out all zero; + r puts a
     # short nonzero tail under a run of zeros.
     rng = random.Random(2024)
-    for bits in (3 * _LEAF_BITS, 12 * _LEAF_BITS, 2 ** 16):
+    for bits in (6 * T_BITS, 24 * T_BITS, 2 ** 16):
         big_k = next(k for k in range(2, 10 ** 5)
                      if math.factorial(k).bit_length() > 2 * bits // 3)
         q = rng.getrandbits(bits // 3) | 1
@@ -131,7 +149,7 @@ def test_remainder_blocks_with_leading_zeros():
 
 
 def test_long_zero_runs_join():
-    for t in (_LEAF_BITS, 3 * _LEAF_BITS):
+    for t in (2 * _WIDTH - 1, 9 * _WIDTH + 8, 27 * _WIDTH + 24):
         for top in ((1,), (0, 2), (3, 0, 0, 5)):
             digits = (0,) * t + top
             assert to_natural(digits) == loop_natural(digits)
@@ -186,7 +204,7 @@ def test_node_products_plus_minus_one():
 def test_factorials_around_block_edges():
     # k! - 1 has its top digit at radix k, k! at radix k + 1: k around
     # each edge puts the last digit just below, on and just above it.
-    for edge in map(_edge, range(1, 41)):
+    for edge in map(first_radix, range(1, 41)):
         for k in range(edge - 2, edge + 2):
             for n in (math.factorial(k) - 1, math.factorial(k)):
                 check_conversions(n)
@@ -196,13 +214,31 @@ def test_digit_strings_ending_on_block_edges():
     # A string of edge - 2 digits fills its blocks exactly; one digit
     # less leaves the last block short, one more opens the next block.
     rng = random.Random(31)
-    for edge in map(_edge, range(1, 41)):
+    for edge in map(first_radix, range(1, 41)):
         for length in (edge - 3, edge - 2, edge - 1):
             digits = tuple(rng.randint(0, i) for i in range(1, length)) \
                 + (rng.randint(1, length),)
             n = loop_natural(digits)
             assert to_natural(digits) == n
             assert to_factoradic(n).digits == digits
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_lengths_where_the_tree_changes_level(level):
+    # W * 2^level digits fill the first 2^level blocks, and one digit more
+    # moves both directions to a root one level up: (W * 2^level + 1)! is
+    # the product of node (level, 0). Random strings and k! - 1, k!, k! + 1
+    # with k! - 1 at each length, against the loops both ways.
+    width = _WIDTH << level
+    assert math.factorial(width + 1) == _node(level, 0)
+    rng = random.Random(level)
+    for length in (width - 1, width, width + 1):
+        digits = tuple(rng.randint(0, i) for i in range(1, length)) \
+            + (rng.randint(1, length),)
+        assert to_factoradic(loop_natural(digits)).digits == digits
+        f = math.factorial(length + 1)
+        for n in (loop_natural(digits), f - 1, f, f + 1):
+            check_conversions(n)
 
 
 # Converts n of each size in the given order from an empty cache, value

@@ -383,6 +383,26 @@ def test_materialize_refuses_by_exact_factorial_bound():
     assert len(materialize(ChainNumber(7, 1, 2), 10 ** 6).digits) == 46233
 
 
+def test_materialize_decides_caps_past_the_int_str_limit(atlas):
+    # A cap of 5,001 decimal digits is past the 4,300 digits str() takes:
+    # it decides as a smaller cap does and is written by its length.
+    huge = 10 ** 5000
+    small = materialize(ChainNumber(3, 1, 2), 10 ** 6)
+    assert len(small.digits) == 33
+    assert materialize(ChainNumber(3, 1, 2), huge) == small
+    with pytest.raises(SizeCapError) as caught:
+        materialize(ChainNumber(20, 2, 3), huge)
+    assert "above the cap of <5,001-digit integer> (" in str(caught.value)
+    with pytest.raises(SizeCapError) as caught:
+        materialize(ChainNumber(huge + 1, 0, 1), huge)
+    assert str(caught.value) == (
+        "level 0 needs <5,001-digit integer> digits, above the cap of "
+        "<5,001-digit integer> (ones block of length <5,001-digit integer> "
+        "shifted by 0 (<5,001-digit integer> digits))")
+    cert = build_sequence(1, 1, 3, nice_check(1, 1, 1, atlas(1)), atlas(1))
+    verify_concrete(cert, size_cap=huge)
+
+
 def test_chain_level_rewrite_holds_concretely():
     # one step of a padded ones block plus a small y adds the step of y
     rng = random.Random(8)
