@@ -16,14 +16,14 @@ The textual form is big-endian, '.'-separated, '!'-terminated:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import perm
 from typing import Iterable, Iterator
 
-# Block j: the _WIDTH radices 2 + _WIDTH*j .. 1 + _WIDTH*(j+1). _nodes[level, j]:
-# product of blocks j*2^level .. (j+1)*2^level - 1, set once by setdefault, no
-# lock. 56 times within 8% of the best of 40-80 both ways at 600-10^4 digits.
+# Block j: the _WIDTH radices 2 + _WIDTH*j .. 1 + _WIDTH*(j+1). Node (level, j):
+# blocks j*2^level .. (j+1)*2^level - 1. 56 times within 8% of the best of
+# 40-80 both ways at 600-10^4 digits.
 _WIDTH = 56
-_nodes: dict[tuple[int, int], int] = {}
 
 
 class MalformedRepresentationError(ValueError):
@@ -61,25 +61,31 @@ class FactoradicRep:
 ZERO = FactoradicRep(())
 
 
+@lru_cache(maxsize=None)  # no lock: a race computes an equal product twice
 def _node(level: int, j: int) -> int:
-    """Product of node (level, j), made on first use and kept for the process."""
-    product = _nodes.get((level, j))
-    if product is None:
-        product = _nodes.setdefault((level, j), (
-            _node(level - 1, 2 * j) * _node(level - 1, 2 * j + 1) if level
-            else perm(1 + _WIDTH * (j + 1), _WIDTH)))
-    return product
+    """Product of the radices of node (level, j), kept for the process."""
+    return (_node(level - 1, 2 * j) * _node(level - 1, 2 * j + 1) if level
+            else perm(1 + _WIDTH * (j + 1), _WIDTH))
 
 
 def _fill(n: int, level: int, j: int, out: list[int]) -> None:
-    """Append every digit of n below the product of node (level, j), zeros included."""
+    """Append the digits of n, below the product of node (level, j), to out.
+
+    len(out) is the node's first digit index. A zero quotient ends the
+    walk, so zeros are written only below a nonzero digit.
+    """
     while level:
         level -= 1
         j *= 2
         n, r = divmod(n, _node(level, j))
         _fill(r, level, j, out)
+        if not n:
+            return
         j += 1
+        out += [0] * ((_WIDTH * j << level) - len(out))
     for radix in range(2 + _WIDTH * j, 2 + _WIDTH * (j + 1)):
+        if not n:
+            break
         n, r = divmod(n, radix)
         out.append(r)
 
@@ -87,26 +93,13 @@ def _fill(n: int, level: int, j: int, out: list[int]) -> None:
 def _split_digits(n: int) -> list[int]:
     """Factoradic digits of n >= 0, little-endian with a nonzero top digit.
 
-    n starts at the least root (level, 0) whose product tops it: n is
-    divided by a left child's product it reaches, the remainder fills
-    that child and the quotient goes right; else n goes left.
+    n fills the least root (level, 0) whose product tops it (see _fill).
     """
     out: list[int] = []
-    level = j = 0
+    level = 0
     while n >= _node(level, 0):
         level += 1
-    while level:
-        level -= 1
-        j *= 2
-        if n >= _node(level, j):
-            n, r = divmod(n, _node(level, j))
-            _fill(r, level, j, out)
-            j += 1
-    radix = 2 + _WIDTH * j
-    while n:
-        n, r = divmod(n, radix)
-        out.append(r)
-        radix += 1
+    _fill(n, level, 0, out)
     return out
 
 

@@ -246,11 +246,15 @@ def _level_width_log10(chain: ChainNumber) -> float:
     the next digit count is pad + value(current level), and the value
     of a level with w digits is at least (w)!. Once a level passes
     10^18 digits the walk stops, so deep towers report the first
-    astronomical level rather than the (even larger) final one.
+    astronomical level rather than the (even larger) final one. A width
+    past about 10^305, where lgamma overflows, reports that width itself.
     """
     width = chain.shift + chain.base
     for _ in range(chain.depth - 1):
-        log_value = math.lgamma(width + 1) / math.log(10)
+        try:
+            log_value = math.lgamma(width + 1) / math.log(10)
+        except OverflowError:
+            return math.log10(width)
         if log_value > 18:
             return log_value
         ones_len = width - chain.shift
@@ -267,14 +271,14 @@ def _decimal(n: int) -> str:
 
 def _size_note(chain: ChainNumber) -> str:
     if chain.depth == 0:
-        return f"concrete value {chain.base}"
+        return f"concrete value {_decimal(chain.base)}"
     if chain.depth == 1:
         return (f"ones block of length {_decimal(chain.base)} shifted by "
                 f"{_decimal(chain.shift)} ({_decimal(chain.shift + chain.base)} "
                 f"digits)")
-    return (f"ones-block tower: depth {chain.depth}, pad {chain.shift}, "
-            f"top value {chain.base}; at least 10^{_level_width_log10(chain):.0f} "
-            f"digits when expanded")
+    return (f"ones-block tower: depth {chain.depth}, pad {_decimal(chain.shift)}, "
+            f"top value {_decimal(chain.base)}; at least "
+            f"10^{_level_width_log10(chain):.0f} digits when expanded")
 
 
 def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:

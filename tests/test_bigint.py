@@ -101,6 +101,27 @@ def test_digit_count_matches_loop(n):
     assert digit_count(n) == len(loop_digits(n))
 
 
+@st.composite
+def sparse_digits(draw):
+    """A string of up to 10^4 digits with 1-5 nonzero digits, the top one
+    included: its splits meet zero quotients and zero padding at every
+    level of the tree."""
+    length = draw(st.integers(1, 10 ** 4))
+    digits = [0] * length
+    for i in draw(st.sets(st.integers(0, length - 1), max_size=4)) | {length - 1}:
+        digits[i] = draw(st.integers(1, i + 1))
+    return tuple(digits)
+
+
+@BIG
+@given(digits=sparse_digits())
+def test_sparse_digit_strings_both_ways(digits):
+    n = loop_natural(digits)
+    assert to_factoradic(n).digits == digits
+    assert to_natural(digits) == n
+    assert digit_count(n) == len(digits)
+
+
 # 512 bits lies between the products of one block and of two.
 @pytest.mark.parametrize("bits", [511, 512, 513, T_BITS - 1, T_BITS, T_BITS + 1,
                                   _TABLE_BITS - 1, _TABLE_BITS, _TABLE_BITS + 1])
@@ -247,8 +268,8 @@ def test_lengths_where_the_tree_changes_level(level):
 ORDERED = """
 import random, sys
 from conftest import loop_digits, loop_natural
-from facthappy.factoradic import _nodes, digit_count, to_factoradic, to_natural
-assert not _nodes
+from facthappy.factoradic import _node, digit_count, to_factoradic, to_natural
+assert _node.cache_info().currsize == 0
 rng = random.Random(5)
 checked = 0
 for d in map(int, sys.argv[1:]):
@@ -282,8 +303,8 @@ def test_sizes_in_order_from_an_empty_cache(order):
 THREADED = """
 import random, sys, threading
 from conftest import loop_digits
-from facthappy.factoradic import _nodes, to_factoradic, to_natural
-assert not _nodes
+from facthappy.factoradic import _node, to_factoradic, to_natural
+assert _node.cache_info().currsize == 0
 rng = random.Random(7)
 sizes = [round(10 ** (1 + 3 * k / 23)) for k in range(24)]
 values = [rng.randrange(10 ** (d - 1), 10 ** d) for d in sizes]

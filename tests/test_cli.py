@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -175,6 +176,26 @@ def test_build_unknown_pair_needs_offset(capsys):
     code, out, _ = run_cli(capsys, "build", "--e", "1", "--p", "1", "--m", "3",
                            "--l", "1")
     assert code == 0 and "m: 3" in out
+
+
+def test_build_with_an_offset_past_the_float_range(capsys):
+    # A 310-digit nice offset for (5, 34): the depth-2 size note bounds the
+    # expansion by the top level's width, where lgamma would overflow.
+    from facthappy.towers import nice_check
+    atlas = dynamics.enumerate_attractors(5)
+    rng = random.Random(1)
+    while True:
+        offset = rng.randrange(10 ** 309, 10 ** 310)
+        try:
+            nice_check(5, 34, offset, atlas)
+            break
+        except dynamics.WitnessError:
+            pass
+    code, out, err = run_cli(capsys, "build", "--e", "5", "--p", "34",
+                             "--m", "3", "--l", str(offset))
+    assert (code, err) == (0, "")
+    assert (f"size: ones-block tower: depth 2, pad 2, top value {offset}; "
+            "at least 10^310 digits when expanded\n") in out
 
 
 def test_runs_csv(capsys):

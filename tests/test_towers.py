@@ -17,6 +17,7 @@ from facthappy.towers import (
     SequenceCertificate,
     SizeCapError,
     WitnessError,
+    _size_note,
     additivity_check,
     build_sequence,
     certificate_to_json,
@@ -401,6 +402,27 @@ def test_materialize_decides_caps_past_the_int_str_limit(atlas):
         "shifted by 0 (<5,001-digit integer> digits))")
     cert = build_sequence(1, 1, 3, nice_check(1, 1, 1, atlas(1)), atlas(1))
     verify_concrete(cert, size_cap=huge)
+
+
+def test_size_notes_past_the_float_and_int_str_limits():
+    # A level past about 10^305 digits overflows lgamma: the note bounds
+    # the expansion by that level's own width. A base or pad past 4,300
+    # decimal digits is written by its length.
+    big = 10 ** 400
+    with pytest.raises(SizeCapError) as caught:
+        materialize(ChainNumber(big, 0, 2), 10 ** 6)
+    assert str(caught.value) == (
+        f"level 1 needs {big} digits, above the cap of 1000000 (ones-block "
+        f"tower: depth 2, pad 0, top value {big}; at least 10^400 digits "
+        f"when expanded)")
+    assert _size_note(ChainNumber(10 ** 5000, 0, 0)) == (
+        "concrete value <5,001-digit integer>")
+    with pytest.raises(SizeCapError) as caught:
+        materialize(ChainNumber(3, 10 ** 5000, 2), 10 ** 6)
+    assert str(caught.value) == (
+        "level 1 needs <5,001-digit integer> digits, above the cap of 1000000 "
+        "(ones-block tower: depth 2, pad <5,001-digit integer>, top value 3; "
+        "at least 10^5000 digits when expanded)")
 
 
 def test_chain_level_rewrite_holds_concretely():
