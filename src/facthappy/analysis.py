@@ -57,19 +57,11 @@ class DensityReport:
     proportions: dict[Attractor, Fraction]
 
 
-def _fixed_point_index(atlas: AttractorAtlas, p: int) -> int:
-    if p not in atlas.fixed_points:
-        raise ValueError(f"{p} is not a fixed point for e={atlas.e}")
-    return atlas.fixed_points.index(p)
-
-
 def is_p_happy(n: int, e: int, p: int, atlas: AttractorAtlas | None = None) -> bool:
     """Does the orbit of n settle on the fixed point p?"""
     if p < 1:
         raise ValueError(f"fixed point must be a positive integer, got {p}")
-    if atlas is not None:
-        _fixed_point_index(atlas, p)
-    elif happy_step_nat(p, e) != p:
+    if happy_step_nat(p, e) != p:
         raise ValueError(f"{p} is not a fixed point for e={e}")
     return classify(n, e, atlas).attractor.members == (p,)
 
@@ -83,9 +75,9 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     search above the trivial fixed point 1; pass 1 for the full search.
     With best the longest run found, every longer run from n on holds
     one of n + best, n + 2 * best + 1, ...; a hit is widened to its run.
-    The table covers min(cap, step_image_bound(e, cap)), one byte per
-    value, 1 for a hit; a larger n is read through its step, its
-    7!-block's high sum plus a low-digit sum.
+    The atlas's index table covers min(cap, step_image_bound(e, cap));
+    a larger n is read through its step, its 7!-block's high sum plus a
+    low-digit sum.
     A search_cap over DEFAULT_SEARCH_CAP or below search_floor raises
     ValueError before the table is built. Unresolved lengths are
     reported by a RunSearch with complete=False rather than an error.
@@ -102,27 +94,28 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     if search_cap < search_floor:
         raise ValueError(f"search cap {search_cap} is below the search "
                          f"floor {search_floor}")
-    target = _fixed_point_index(atlas, p)
+    if p not in atlas.fixed_points:
+        raise ValueError(f"{p} is not a fixed point for e={atlas.e}")
+    target = atlas.fixed_points.index(p)  # fixed points lead atlas.attractors
     top = min(search_cap, step_image_bound(e, search_cap))
     table = atlas.extended_index_table(top)
-    table[0] = 255  # unused -1; e <= 8 has at most 14 attractors
-    hits = bytes(table).translate(bytes(a == target for a in range(256)))
     low = _low_sums(e)
     high = [_step_sum(base, e, low) for base in range(0, search_cap + 1, _LOW)]
 
-    def hit(n: int) -> int:  # n and its step share their attractor
-        return hits[n] if n <= top else hits[high[n // _LOW] + low[n % _LOW]]
+    def hit(n: int) -> bool:  # n and its step share their attractor
+        v = n if n <= top else high[n // _LOW] + low[n % _LOW]
+        return table[v] == target
 
     starts: dict[int, int] = {}
     best, n = 0, search_floor  # no run below n is longer than best
     while best < m_max:
         q, stride = n + best, best + 1
-        while q <= top and not hits[q]:
+        while q <= top and table[q] != target:
             q += stride
         while top < q <= search_cap:  # read through the step, block by block
             base, r = q - q % _LOW, q % _LOW
             h, stop = high[base // _LOW], min(_LOW, search_cap + 1 - base)
-            while r < stop and not hits[h + low[r]]:
+            while r < stop and table[h + low[r]] != target:
                 r += stride
             q = base + r
             if r < stop:

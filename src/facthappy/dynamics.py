@@ -482,21 +482,15 @@ def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,
         index, total = atlas._resolve(n, cap)
         attractor = atlas.attractors[index]
     else:
-        path = [n]
-        pos = {n: 0}
+        pos = {n: 0}  # each value met -> its step index, in orbit order
         v = n
-        while True:
-            v = happy_step_nat(v, e)
-            entry = pos.get(v)
-            if entry is not None:
-                break
-            pos[v] = len(path)
-            path.append(v)
-            if len(path) > cap:
+        while (v := happy_step_nat(v, e)) not in pos:
+            pos[v] = len(pos)
+            if len(pos) > cap:
                 raise OrbitCapError(
                     f"orbit of {n} under e={e} exceeded {cap} steps")
-        attractor = Attractor.cycle(tuple(path[entry:]))
-        total = entry
+        total = pos[v]
+        attractor = Attractor.cycle(tuple(pos)[total:])
     trajectory = None
     if trace:
         values = [n]

@@ -221,7 +221,7 @@ def parse(text: str) -> FactoradicRep:
         try:
             return FactoradicRep(tuple(map(int, reversed(tokens))))
         except MalformedRepresentationError:
-            pass
+            pass  # bulk lengths are per string; the loop's per-position message wins
     for pos, tok in zip(range(len(tokens), 0, -1), tokens):
         if (not (tok.isascii() and tok.isdigit())
                 or (len(tok) > 1 and tok[0] == "0")

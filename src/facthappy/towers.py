@@ -239,28 +239,30 @@ def _check_run_length(m: int) -> None:
             f"run length {m} is above the limit of {RUN_LENGTH_LIMIT}")
 
 
-def _level_width_log10(chain: ChainNumber) -> float:
-    """log10 of a lower bound on the expanded digit count of the chain.
+def _level_width_log10(chain: ChainNumber) -> int:
+    """log10 of a lower bound on the expanded digit count, rounded.
 
     Tracks the digit count level by level from the top; each step down,
     the next digit count is pad + value(current level), and the value
     of a level with w digits is at least (w)!. Once a level passes
     10^18 digits the walk stops, so deep towers report the first
     astronomical level rather than the (even larger) final one. A width
-    past about 10^305, where lgamma overflows, reports that width itself.
+    w of d digits past about 10^305, where lgamma overflows, reports the
+    integer w * (d - 1) - ceil(0.4343 * w), as w! >= (w / e) ** w.
     """
     width = chain.shift + chain.base
     for _ in range(chain.depth - 1):
         try:
             log_value = math.lgamma(width + 1) / math.log(10)
         except OverflowError:
-            return math.log10(width)
+            digits = _decimal_digits(width)
+            return width * (digits - 1) - (4343 * width + 9999) // 10000
         if log_value > 18:
-            return log_value
+            return round(log_value)
         ones_len = width - chain.shift
         width = chain.shift + sum(
             math.factorial(chain.shift + i) for i in range(1, ones_len + 1))
-    return math.log10(max(width, 1))
+    return round(math.log10(max(width, 1)))
 
 
 def _decimal(n: int) -> str:
@@ -278,7 +280,7 @@ def _size_note(chain: ChainNumber) -> str:
                 f"digits)")
     return (f"ones-block tower: depth {chain.depth}, pad {_decimal(chain.shift)}, "
             f"top value {_decimal(chain.base)}; at least "
-            f"10^{_level_width_log10(chain):.0f} digits when expanded")
+            f"10^{_decimal(_level_width_log10(chain))} digits when expanded")
 
 
 def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
@@ -311,7 +313,7 @@ def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
         if product > limit:
             raise SizeCapError(
                 f"level {chain.depth - 2 - level} would need about "
-                f"10^{_level_width_log10(chain):.0f} digits, above the cap of "
+                f"10^{_decimal(_level_width_log10(chain))} digits, above the cap of "
                 f"{_decimal(size_cap)} ({_size_note(chain)})")
         width = sum(math.factorial(chain.shift + i) for i in range(1, width + 1))
     raise AssertionError("unreachable")

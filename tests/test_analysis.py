@@ -50,6 +50,15 @@ def test_is_p_happy_rejects_non_fixed_point(atlas):
             is_p_happy(10, 2, p)
 
 
+def test_is_p_happy_checks_p_by_the_step_then_the_atlas_exponent(atlas):
+    # 5 is a fixed point for e=2, so the refusal names the atlas, which
+    # is for another exponent, as classify does.
+    with pytest.raises(ValueError, match="^atlas is for exponent 3, not 2$"):
+        is_p_happy(10, 2, 5, atlas(3))
+    with pytest.raises(ValueError, match="^7 is not a fixed point for e=2$"):
+        is_p_happy(10, 2, 7, atlas(3))
+
+
 def test_is_p_happy_matches_direct_oracle(atlas):
     rng = random.Random(2024)
     for e in (2, 3, 4, 5):

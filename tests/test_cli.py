@@ -179,8 +179,9 @@ def test_build_unknown_pair_needs_offset(capsys):
 
 
 def test_build_with_an_offset_past_the_float_range(capsys):
-    # A 310-digit nice offset for (5, 34): the depth-2 size note bounds the
-    # expansion by the top level's width, where lgamma would overflow.
+    # A 310-digit nice offset for (5, 34): the top level's width w = pad +
+    # offset is past lgamma's range, so the depth-2 size note bounds
+    # log10(w!) by the integer w * 309 - ceil(0.4343 * w).
     from facthappy.towers import nice_check
     atlas = dynamics.enumerate_attractors(5)
     rng = random.Random(1)
@@ -194,8 +195,10 @@ def test_build_with_an_offset_past_the_float_range(capsys):
     code, out, err = run_cli(capsys, "build", "--e", "5", "--p", "34",
                              "--m", "3", "--l", str(offset))
     assert (code, err) == (0, "")
+    w = offset + 2
     assert (f"size: ones-block tower: depth 2, pad 2, top value {offset}; "
-            "at least 10^310 digits when expanded\n") in out
+            f"at least 10^{w * 309 - (4343 * w + 9999) // 10000} digits "
+            "when expanded\n") in out
 
 
 def test_runs_csv(capsys):

@@ -536,6 +536,18 @@ def test_classify_cap(atlas):
         classify(10 ** 30, 2, atlas(2), cap=1)
 
 
+def test_classify_least_cap_without_atlas():
+    # The walk records n and each new value; the cap bounds that count
+    # beyond n itself, so the least cap that succeeds is the number of
+    # distinct values after n, and one less gives up.
+    for n, e, least in ((2020, 2, 6), (123456, 6, 10), (3401, 5, 2), (5, 2, 0)):
+        report = classify(n, e, cap=least)
+        assert report == classify(n, e)
+        if least:
+            with pytest.raises(OrbitCapError, match=f"exceeded {least - 1} steps$"):
+                classify(n, e, cap=least - 1)
+
+
 def test_classify_rejects_bad_input(atlas):
     with pytest.raises(ValueError):
         classify(0, 2)

@@ -1,7 +1,9 @@
 import dataclasses
+import decimal
 import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -405,16 +407,17 @@ def test_materialize_decides_caps_past_the_int_str_limit(atlas):
 
 
 def test_size_notes_past_the_float_and_int_str_limits():
-    # A level past about 10^305 digits overflows lgamma: the note bounds
-    # the expansion by that level's own width. A base or pad past 4,300
-    # decimal digits is written by its length.
+    # A level width w past about 10^305 overflows lgamma: the note bounds
+    # log10(w!) by the integer w * (d - 1) - ceil(0.4343 * w), d the
+    # decimal digits of w. A base, pad or exponent past 4,300 decimal
+    # digits is written by its length.
     big = 10 ** 400
     with pytest.raises(SizeCapError) as caught:
         materialize(ChainNumber(big, 0, 2), 10 ** 6)
     assert str(caught.value) == (
         f"level 1 needs {big} digits, above the cap of 1000000 (ones-block "
-        f"tower: depth 2, pad 0, top value {big}; at least 10^400 digits "
-        f"when expanded)")
+        f"tower: depth 2, pad 0, top value {big}; at least "
+        f"10^{3995657 * 10 ** 396} digits when expanded)")
     assert _size_note(ChainNumber(10 ** 5000, 0, 0)) == (
         "concrete value <5,001-digit integer>")
     with pytest.raises(SizeCapError) as caught:
@@ -422,7 +425,22 @@ def test_size_notes_past_the_float_and_int_str_limits():
     assert str(caught.value) == (
         "level 1 needs <5,001-digit integer> digits, above the cap of 1000000 "
         "(ones-block tower: depth 2, pad <5,001-digit integer>, top value 3; "
-        "at least 10^5000 digits when expanded)")
+        "at least 10^<5,004-digit integer> digits when expanded)")
+
+
+def test_size_note_exponent_grows_across_the_lgamma_overflow():
+    # 2 * 10^305 is inside lgamma's range and 3 * 10^305 past it; past it
+    # the note's exponent is an exact integer lower bound on log10(w!),
+    # so it never falls as w grows and never tops w * log10(w).
+    with decimal.localcontext() as ctx:
+        ctx.prec = 450
+        last = 0
+        for w in (2 * 10 ** 305, 3 * 10 ** 305, 10 ** 306, 10 ** 400):
+            note = _size_note(ChainNumber(w, 0, 2))
+            exponent = int(re.fullmatch(
+                r".*; at least 10\^(\d+) digits when expanded", note).group(1))
+            assert last <= exponent <= w * decimal.Decimal(w).log10()
+            last = exponent
 
 
 def test_chain_level_rewrite_holds_concretely():
