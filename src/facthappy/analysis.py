@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import (
-    _LOW, Attractor, AttractorAtlas, _low_sums, _step_sum, classify,
-    happy_step_nat, step_image_bound, step_sum_tally)
+    _LOW, Attractor, AttractorAtlas, _density_tally, _low_sums, _step_sum,
+    classify, happy_step_nat, step_image_bound)
 
 # Largest search_cap smallest_runs accepts: its table holds one entry
 # per value up to the cap or, if smaller, the cap's step image bound.
@@ -142,7 +142,7 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
 def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     """Tally every n in [1, upper] by attractor, exactly, without a scan.
 
-    step_sum_tally counts the n in [0, upper] by step value; n = 0 is
+    _density_tally counts the n in [0, upper] by step value; n = 0 is
     dropped, and the atlas sorts the distinct values by attractor in
     one pass. A call whose tally could exceed DENSITY_WORK_LIMIT
     dictionary updates raises ValueError before any work.
@@ -151,7 +151,7 @@ def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
         raise ValueError(f"interval end must be positive, got {upper}")
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
-    tally = step_sum_tally(e, upper)
+    tally = _density_tally(e, upper)
     del tally[0]  # n = 0
     counts = dict(zip(atlas.attractors, atlas.totals(tally)))
     proportions = {att: Fraction(c, upper) for att, c in counts.items()}

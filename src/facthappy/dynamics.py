@@ -9,9 +9,11 @@ the atlas of fixed points and cycles found on the step images below it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from itertools import compress
+from math import comb, factorial
 
 from .factoradic import FactoradicRep, _split_digits, digit_count, to_factoradic
 
@@ -28,6 +30,10 @@ _TABLE_BITS = 672
 # table holds 426 KiB and a default cap orbit of 2021 gives up after
 # 3-5 s, and both grow with e.
 EXPONENT_LIMIT = 200
+# _density_tally packs when top + 1 <= this * Catalan(k + 1): at k! - 1 the
+# packed DP took 0.2-0.7 of the dict DP's time at ratios 0.55-3.76, the
+# same at 5.31 and 1.04-2.1 of it at 7.07-18.
+_DENSE_RATIO = 4
 
 
 class CertificationError(RuntimeError):
@@ -273,6 +279,58 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
                 _shift_into(grown, low, powers[a])
             low = grown
     return tally
+
+
+def _density_tally(e: int, upper: int) -> dict[int, int]:
+    """step_sum_tally's counts, by _packed_tally where step sums are dense.
+
+    Dense: top + 1 <= _DENSE_RATIO * Catalan(k + 1), top the largest step
+    sum of k digits. Over the work limit step_sum_tally refuses as ever.
+    """
+    _check_exponent(e)
+    k = digit_count(upper)
+    top = sum(i ** e for i in range(1, k + 1))
+    if (top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2)
+            or _density_work(e, k) > DENSITY_WORK_LIMIT):
+        return step_sum_tally(e, upper)
+    return _packed_tally(e, upper)
+
+
+def _packed_tally(e: int, upper: int) -> dict[int, int]:
+    """step_sum_tally's recurrence on counts packed into one int.
+
+    Slot s, w bits wide, holds the count of step sum s: a shift by a ** e
+    is << a ** e * w and a merge is +. A count is at most upper + 1 <
+    2 ** w, so no carry crosses a slot. Keys ascend.
+    """
+    digits = to_factoradic(upper).digits
+    bits = (upper + 1).bit_length()
+    w = next((w for w in (8, 16, 32, 64) if bits <= w), -(-bits // 8) * 8)
+    low = tally = 1
+    maximal = True  # every digit so far maximal: the tally is low
+    for i, d in enumerate(digits, start=1):
+        shifts = [a ** e * w for a in range(i + 1)]
+        grown = low
+        for a in range(1, d):
+            grown += low << shifts[a]
+        if maximal and d == i:
+            low = tally = grown + (low << shifts[i])
+            continue
+        maximal = False
+        if d:
+            tally = grown + (tally << shifts[d])
+        if i < len(digits):
+            for a in range(max(d, 1), i + 1):
+                grown += low << shifts[a]
+            low = grown
+    size, step = -(-tally.bit_length() // w), w // 8
+    data = tally.to_bytes(size * step, "little")
+    if w <= 64 and sys.byteorder == "little":  # one C-level unpack
+        counts = memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[step])
+    else:
+        counts = [int.from_bytes(data[j:j + step], "little")
+                  for j in range(0, len(data), step)]
+    return dict(zip(compress(range(size), counts), filter(None, counts)))
 
 
 @lru_cache(maxsize=_LOW_SUMS_KEPT)

@@ -26,7 +26,9 @@ from facthappy.dynamics import (
     smallest_j,
     step_image_bound,
     step_sum_tally,
+    _density_tally,
     _density_work,
+    _packed_tally,
 )
 from facthappy.factoradic import digit_count, to_factoradic
 
@@ -407,6 +409,103 @@ def test_step_sum_tally_on_maximal_prefixes(e):
     for upper in _maximal_prefix_uppers():
         assert list(step_sum_tally(e, upper).items()) == \
             list(_shift_every_digit_tally(e, upper).items())
+
+
+def test_packed_tally_matches_stream_and_dict_dp():
+    # The stream oracle walks every value, so it checks the uppers up to
+    # 8!; the dict DP checks every upper. Uppers with over 10^6 slots,
+    # which take seconds each at e = 7 and 8, where density never packs
+    # them, are left out.
+    for e in range(1, 9):
+        for upper in _tally_uppers() + _maximal_prefix_uppers():
+            if step_image_bound(e, upper) >= 10 ** 6:
+                continue
+            packed = _packed_tally(e, upper)
+            assert packed == step_sum_tally(e, upper)
+            assert list(packed) == sorted(packed)
+            if upper <= math.factorial(8):
+                assert packed == Counter(_step_images(e, 0, upper))
+
+
+@settings(deadline=None)
+@given(e=st.integers(1, 8), upper=st.integers(0, 5 * 10 ** 4))
+def test_packed_tally_matches_stream_property(e, upper):
+    assert _packed_tally(e, upper) == Counter(_step_images(e, 0, upper))
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_density_tally_of_zero_and_one(e):
+    # Zero and one digits are dense at every e: the packed kernel runs.
+    assert _density_tally(e, 0) == {0: 1}
+    assert _density_tally(e, 1) == {0: 1, 1: 1}
+
+
+@pytest.mark.parametrize("k, width", [(7, 8), (10, 16), (15, 32), (24, 64)])
+def test_packed_tally_counts_past_each_slot_width(k, width):
+    # The largest count needs more than width bits, so its slot is wider:
+    # 16, 32 and 64 bits unpack in one cast, 80 bits slot by slot.
+    upper = math.factorial(k) - 1
+    packed = _packed_tally(1, upper)
+    assert packed == step_sum_tally(1, upper)
+    assert max(packed.values()) >= 2 ** width
+
+
+def test_packed_tally_wide_slots():
+    # 21! - 1 is over 2 ** 64, so slots are 72 bits wide and unpack one
+    # at a time.
+    upper = math.factorial(21) - 1
+    assert upper.bit_length() > 64
+    assert _packed_tally(2, upper) == step_sum_tally(2, upper)
+
+
+@pytest.mark.parametrize("width", (8, 16, 32, 64))
+def test_packed_tally_at_slot_width_edges(width):
+    # 2 ** width - 2 is the last upper with width-bit slots.
+    for upper in (2 ** width - 2, 2 ** width - 1, 2 ** width):
+        for e in (1, 2):
+            assert _packed_tally(e, upper) == step_sum_tally(e, upper)
+
+
+def _density_path(monkeypatch, e, upper):
+    """Which kernel _density_tally calls for (e, upper), without its work."""
+    calls = []
+    monkeypatch.setattr(dynamics, "_packed_tally",
+                        lambda *args: calls.append("packed") or {0: 1})
+    monkeypatch.setattr(dynamics, "step_sum_tally",
+                        lambda *args: calls.append("dict") or {0: 1})
+    dynamics._density_tally(e, upper)
+    return calls
+
+
+def test_density_path_for_census_and_boundary_inputs(monkeypatch):
+    f10 = math.factorial(10)
+    for e in (2, 3, 4):
+        assert _density_path(monkeypatch, e, f10 - 1) == ["packed"]
+    for e in (5, 6):
+        assert _density_path(monkeypatch, e, f10 - 1) == ["dict"]
+    # The seeded census bounds lie within 1% below a share of 10! - 1.
+    for e, share, path in ((4, 0.25, "packed"), (5, 0.5, "dict"),
+                           (6, 0.75, "dict")):
+        for upper in (int((f10 - 1) * share) - (f10 - 1) // 100,
+                      int((f10 - 1) * share)):
+            assert _density_path(monkeypatch, e, upper) == [path]
+    for e, k, path in ((5, 10, "dict"), (5, 11, "packed"),
+                       (6, 13, "dict"), (4, 10, "packed")):
+        assert _density_path(monkeypatch, e, math.factorial(k) - 1) == [path]
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_density_tally_refuses_what_step_sum_tally_refuses(e, monkeypatch):
+    k = next(k for k in range(3, 200)
+             if _density_work(e, k) > DENSITY_WORK_LIMIT)  # digits of (k+1)!-1
+    refused = math.factorial(k + 1) - 1
+    with pytest.raises(ValueError) as dict_exc:
+        step_sum_tally(e, refused)
+    with pytest.raises(ValueError) as exc:
+        _density_tally(e, refused)
+    assert str(exc.value) == str(dict_exc.value)
+    accepted = math.factorial(k) - 1  # k - 1 digits
+    assert _density_path(monkeypatch, e, accepted)
 
 
 def test_totals_match_attractor_index(atlas):
