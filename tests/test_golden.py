@@ -1,16 +1,21 @@
-"""Golden `density` outputs: stdout, stderr and exit code, byte for byte.
+"""Golden CLI outputs: stdout, stderr and exit code, byte for byte.
 
-The corpus in golden/density.json holds text, csv and json output for
-e = 1..8 at several uppers, and the refusal of the least k! - 1 over the
-work limit for each e. A change that alters output on purpose rewrites
-the corpus and names the entries it changed. To rewrite it:
+The corpus in golden/density.json holds text, csv and json `density`
+output for e = 1..8 at several uppers, and the refusal of the least
+k! - 1 over the work limit for each e. The corpus in golden/cli.json
+holds every command line of the README plus one call that exits 1 and
+one that exits 2; stdout longer than _HASHED characters is kept as its
+sha256. A change that alters output on purpose rewrites the corpora and
+names the entries it changed. To rewrite them:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import shlex
 import sys
 from math import factorial
 from pathlib import Path
@@ -18,8 +23,13 @@ from pathlib import Path
 from facthappy import cli, dynamics
 
 CORPUS = Path(__file__).with_name("golden") / "density.json"
+CLI_CORPUS = Path(__file__).with_name("golden") / "cli.json"
+README = Path(__file__).parents[1] / "README.md"
 # Least k with k! - 1 refused by the density work bound, per exponent.
 _REFUSED_K = {1: 105, 2: 48, 3: 28, 4: 19, 5: 15, 6: 14, 7: 14, 8: 14}
+_HASHED = 500
+# An atlas over the work limit (exit 1) and an orbit cap reached (exit 2).
+_FAILING = [("attractors", "--e", "9"), ("orbit", "2021", "--e", "2", "--cap", "2")]
 
 
 def _argv_list():
@@ -38,6 +48,15 @@ def _argv_list():
     return calls
 
 
+def _cli_argv_list():
+    """The README's command lines, read as CI reads them, then _FAILING."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```text\n", 1)[1].split("```", 1)[0]
+    calls = [tuple(shlex.split(line.split("#", 1)[0])[1:])
+             for line in block.splitlines() if line.startswith("facthappy ")]
+    return calls + _FAILING
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -46,10 +65,26 @@ def _run(argv):
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _run_hashed(argv):
+    entry = _run(argv)
+    if len(entry["stdout"]) > _HASHED:
+        stdout = entry.pop("stdout").encode()
+        entry["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+    return entry
+
+
 def test_corpus_covers_every_call():
     corpus = json.loads(CORPUS.read_text())
     assert [tuple(entry["argv"]) for entry in corpus] == _argv_list()
     assert {entry["code"] for entry in corpus} == {0, 1}
+
+
+def test_cli_corpus_covers_the_readme():
+    corpus = json.loads(CLI_CORPUS.read_text())
+    assert [tuple(entry["argv"]) for entry in corpus] == _cli_argv_list()
+    assert len(corpus) > len(_FAILING)
+    assert [entry["code"] for entry in corpus[-2:]] == [1, 2]
+    assert {entry["code"] for entry in corpus[:-2]} == {0}
 
 
 def test_density_outputs_match_corpus(atlas, monkeypatch):
@@ -60,8 +95,16 @@ def test_density_outputs_match_corpus(atlas, monkeypatch):
         assert _run(entry["argv"]) == entry, entry["argv"]
 
 
+def test_cli_outputs_match_corpus(atlas, monkeypatch):
+    monkeypatch.setattr(dynamics, "enumerate_attractors", atlas)
+    for entry in json.loads(CLI_CORPUS.read_text()):
+        assert _run_hashed(entry["argv"]) == entry, entry["argv"]
+
+
 if __name__ == "__main__":
     CORPUS.parent.mkdir(exist_ok=True)
-    corpus = [_run(argv) for argv in _argv_list()]
-    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
-    print(f"wrote {len(corpus)} entries to {CORPUS}", file=sys.stderr)
+    for path, argvs, run in ((CORPUS, _argv_list(), _run),
+                             (CLI_CORPUS, _cli_argv_list(), _run_hashed)):
+        corpus = [run(argv) for argv in argvs]
+        path.write_text(json.dumps(corpus, indent=1) + "\n")
+        print(f"wrote {len(corpus)} entries to {path}", file=sys.stderr)
