@@ -3,7 +3,7 @@
 A run search reads an attractor-index table that covers every one-step
 image of the searched interval. A density tally never visits the values
 themselves: the step-sum digit DP of dynamics counts them by step
-value, and the atlas classifies each distinct value once.
+value, and the atlas classifies them, dense ones by such a table.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import (
-    _LOW, Attractor, AttractorAtlas, _density_tally, _low_sums, _step_sum,
+    _LOW, Attractor, AttractorAtlas, _density_totals, _low_sums, _step_sum,
     classify, happy_step_nat, step_image_bound)
 
 # Largest search_cap smallest_runs accepts: its table holds one entry
@@ -142,18 +142,16 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
 def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     """Tally every n in [1, upper] by attractor, exactly, without a scan.
 
-    _density_tally counts the n in [0, upper] by step value; n = 0 is
-    dropped, and the atlas sorts the distinct values by attractor in
-    one pass. A call whose tally could exceed DENSITY_WORK_LIMIT
-    dictionary updates raises ValueError before any work.
+    _density_totals counts the n by step value and classifies the values:
+    dense ones by the atlas's index table, sparse ones by its totals. A
+    call whose tally could exceed DENSITY_WORK_LIMIT dictionary updates
+    raises ValueError before any work.
     """
     if upper < 1:
         raise ValueError(f"interval end must be positive, got {upper}")
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
-    tally = _density_tally(e, upper)
-    del tally[0]  # n = 0
-    counts = dict(zip(atlas.attractors, atlas.totals(tally)))
+    counts = dict(zip(atlas.attractors, _density_totals(e, upper, atlas)))
     proportions = {att: Fraction(c, upper) for att, c in counts.items()}
     return DensityReport(e=e, upper=upper, counts=counts,
                          proportions=proportions)

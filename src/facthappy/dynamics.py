@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import islice
 from math import comb, factorial
 
 from .factoradic import FactoradicRep, _split_digits, digit_count, to_factoradic
@@ -30,9 +30,9 @@ _TABLE_BITS = 672
 # table holds 426 KiB and a default cap orbit of 2021 gives up after
 # 3-5 s, and both grow with e.
 EXPONENT_LIMIT = 200
-# _density_tally packs when top + 1 <= this * Catalan(k + 1): at k! - 1 the
-# packed DP took 0.2-0.7 of the dict DP's time at ratios 0.55-3.76, the
-# same at 5.31 and 1.04-2.1 of it at 7.07-18.
+# _density_totals packs when top + 1 <= this * Catalan(k + 1). At k! - 1 the
+# whole packed call, tally and classification, took 0.5-0.67 of the dict
+# path's time at ratios 3.27-3.76, and 1.07-1.3 of it at 5.31 and 7.19.
 _DENSE_RATIO = 4
 
 
@@ -281,27 +281,36 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
     return tally
 
 
-def _density_tally(e: int, upper: int) -> dict[int, int]:
-    """step_sum_tally's counts, by _packed_tally where step sums are dense.
+def _density_totals(e: int, upper: int, atlas: AttractorAtlas) -> list[int]:
+    """Counts per attractor index of the n in [1, upper], from their steps.
 
-    Dense: top + 1 <= _DENSE_RATIO * Catalan(k + 1), top the largest step
-    sum of k digits. Over the work limit step_sum_tally refuses as ever.
+    Dense step sums (top + 1 <= _DENSE_RATIO * Catalan(k + 1), top the
+    largest sum of k digits): one pass over _packed_tally's slots 1..top
+    and atlas.extended_index_table(top). Sparse: atlas.totals over the
+    keys of step_sum_tally, which refuses over the work limit first.
     """
     _check_exponent(e)
     k = digit_count(upper)
     top = sum(i ** e for i in range(1, k + 1))
     if (top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2)
             or _density_work(e, k) > DENSITY_WORK_LIMIT):
-        return step_sum_tally(e, upper)
-    return _packed_tally(e, upper)
+        tally = step_sum_tally(e, upper)
+        del tally[0]  # n = 0
+        return atlas.totals(tally)
+    totals = [0] * len(atlas.attractors)
+    table = atlas.extended_index_table(top)
+    for a, c in zip(islice(table, 1, None), _packed_tally(e, upper)[1:]):
+        totals[a] += c
+    return totals
 
 
-def _packed_tally(e: int, upper: int) -> dict[int, int]:
+def _packed_tally(e: int, upper: int) -> memoryview | list[int]:
     """step_sum_tally's recurrence on counts packed into one int.
 
     Slot s, w bits wide, holds the count of step sum s: a shift by a ** e
     is << a ** e * w and a merge is +. A count is at most upper + 1 <
-    2 ** w, so no carry crosses a slot. Keys ascend.
+    2 ** w, so no carry crosses a slot. Returns the count of every step
+    sum from 0 up to the largest one met, zeros included.
     """
     digits = to_factoradic(upper).digits
     bits = (upper + 1).bit_length()
@@ -326,11 +335,9 @@ def _packed_tally(e: int, upper: int) -> dict[int, int]:
     size, step = -(-tally.bit_length() // w), w // 8
     data = tally.to_bytes(size * step, "little")
     if w <= 64 and sys.byteorder == "little":  # one C-level unpack
-        counts = memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[step])
-    else:
-        counts = [int.from_bytes(data[j:j + step], "little")
-                  for j in range(0, len(data), step)]
-    return dict(zip(compress(range(size), counts), filter(None, counts)))
+        return memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[step])
+    return [int.from_bytes(data[j:j + step], "little")
+            for j in range(0, len(data), step)]
 
 
 @lru_cache(maxsize=_LOW_SUMS_KEPT)
@@ -410,9 +417,9 @@ class AttractorAtlas:
     def totals(self, tally: dict[int, int]) -> list[int]:
         """Summed counts per attractor index of a {value >= 1: count} tally.
 
-        A value outside Im steps until it meets Im. A step adds the step
-        sum of the value's 7!-block base, taken once per block met, to
-        the step sum of its six lowest digits.
+        Density's sparse path: a value outside Im steps until it meets Im.
+        Each step adds the step sum of the value's 7!-block base, taken
+        once per block met, to the step sum of its six lowest digits.
         """
         if min(tally, default=1) < 1:
             raise ValueError("tally values must be positive integers")
@@ -438,7 +445,7 @@ class AttractorAtlas:
         read through its image, which is in Im; above memo_bound every
         image is smaller than its value, so it is read from the table,
         in one pass when the block's largest image is below its base.
-        Callers bound upper.
+        Callers, smallest_runs and density's packed path, bound upper.
         """
         covered = min(upper, self.memo_bound)
         e, index, low = self.e, self._index, _low_sums(self.e)

@@ -310,6 +310,16 @@ def test_density_matches_scan(atlas, e, upper):
     _assert_matches_scan(e, upper, atlas(e))
 
 
+@settings(deadline=None)
+@given(e=st.integers(1, 8), upper=st.integers(1, 2 * 10 ** 4))
+def test_density_matches_walk_property(atlas, e, upper):
+    # walk_tally steps every value itself; scan_density would read the
+    # same extended_index_table the packed path classifies with.
+    at = atlas(e)
+    assert list(density(e, upper, at).counts.values()) == \
+        walk_tally(e, 1, upper, at)
+
+
 @pytest.mark.parametrize("e", range(1, 7))
 def test_density_matches_scan_at_factorials(atlas, e):
     # k! starts a new top digit; k! - 1 has every digit at its maximum

@@ -4,6 +4,7 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from facthappy.dynamics import (
     smallest_j,
     step_image_bound,
     step_sum_tally,
-    _density_tally,
+    _density_totals,
     _density_work,
     _packed_tally,
 )
@@ -411,6 +412,16 @@ def test_step_sum_tally_on_maximal_prefixes(e):
             list(_shift_every_digit_tally(e, upper).items())
 
 
+def _packed_dict(e, upper):
+    """The packed slots as a {step sum: count} dict of the nonzero ones.
+
+    The last slot is the largest step sum met, so it is never zero.
+    """
+    slots = _packed_tally(e, upper)
+    assert slots[-1]
+    return {s: c for s, c in enumerate(slots) if c}
+
+
 def test_packed_tally_matches_stream_and_dict_dp():
     # The stream oracle walks every value, so it checks the uppers up to
     # 8!; the dict DP checks every upper. Uppers with over 10^6 slots,
@@ -420,7 +431,7 @@ def test_packed_tally_matches_stream_and_dict_dp():
         for upper in _tally_uppers() + _maximal_prefix_uppers():
             if step_image_bound(e, upper) >= 10 ** 6:
                 continue
-            packed = _packed_tally(e, upper)
+            packed = _packed_dict(e, upper)
             assert packed == step_sum_tally(e, upper)
             assert list(packed) == sorted(packed)
             if upper <= math.factorial(8):
@@ -430,14 +441,18 @@ def test_packed_tally_matches_stream_and_dict_dp():
 @settings(deadline=None)
 @given(e=st.integers(1, 8), upper=st.integers(0, 5 * 10 ** 4))
 def test_packed_tally_matches_stream_property(e, upper):
-    assert _packed_tally(e, upper) == Counter(_step_images(e, 0, upper))
+    assert _packed_dict(e, upper) == Counter(_step_images(e, 0, upper))
 
 
 @pytest.mark.parametrize("e", range(1, 9))
-def test_density_tally_of_zero_and_one(e):
-    # Zero and one digits are dense at every e: the packed kernel runs.
-    assert _density_tally(e, 0) == {0: 1}
-    assert _density_tally(e, 1) == {0: 1, 1: 1}
+def test_density_tally_of_zero_and_one(e, atlas):
+    # Zero and one digits are dense at every e: the packed kernel runs,
+    # and its slot 0, n = 0, is left out. 1 is the first fixed point.
+    at = atlas(e)
+    assert _packed_dict(e, 0) == {0: 1}
+    assert _packed_dict(e, 1) == {0: 1, 1: 1}
+    assert _density_totals(e, 0, at) == [0] * len(at.attractors)
+    assert _density_totals(e, 1, at) == [1] + [0] * (len(at.attractors) - 1)
 
 
 @pytest.mark.parametrize("k, width", [(7, 8), (10, 16), (15, 32), (24, 64)])
@@ -445,7 +460,7 @@ def test_packed_tally_counts_past_each_slot_width(k, width):
     # The largest count needs more than width bits, so its slot is wider:
     # 16, 32 and 64 bits unpack in one cast, 80 bits slot by slot.
     upper = math.factorial(k) - 1
-    packed = _packed_tally(1, upper)
+    packed = _packed_dict(1, upper)
     assert packed == step_sum_tally(1, upper)
     assert max(packed.values()) >= 2 ** width
 
@@ -455,7 +470,7 @@ def test_packed_tally_wide_slots():
     # at a time.
     upper = math.factorial(21) - 1
     assert upper.bit_length() > 64
-    assert _packed_tally(2, upper) == step_sum_tally(2, upper)
+    assert _packed_dict(2, upper) == step_sum_tally(2, upper)
 
 
 @pytest.mark.parametrize("width", (8, 16, 32, 64))
@@ -463,46 +478,80 @@ def test_packed_tally_at_slot_width_edges(width):
     # 2 ** width - 2 is the last upper with width-bit slots.
     for upper in (2 ** width - 2, 2 ** width - 1, 2 ** width):
         for e in (1, 2):
-            assert _packed_tally(e, upper) == step_sum_tally(e, upper)
+            assert _packed_dict(e, upper) == step_sum_tally(e, upper)
+
+
+# The tally and the classification each path of _density_totals runs.
+_PATHS = {"packed": ["table", "packed"], "dict": ["dict", "totals"]}
 
 
 def _density_path(monkeypatch, e, upper):
-    """Which kernel _density_tally calls for (e, upper), without its work."""
+    """Which path _density_totals takes for (e, upper), without its work."""
     calls = []
     monkeypatch.setattr(dynamics, "_packed_tally",
-                        lambda *args: calls.append("packed") or {0: 1})
+                        lambda *args: calls.append("packed") or [1])
     monkeypatch.setattr(dynamics, "step_sum_tally",
                         lambda *args: calls.append("dict") or {0: 1})
-    dynamics._density_tally(e, upper)
-    return calls
+    stub = SimpleNamespace(
+        attractors=(),
+        extended_index_table=lambda top: calls.append("table") or [-1],
+        totals=lambda tally: calls.append("totals") or [])
+    assert dynamics._density_totals(e, upper, stub) == []
+    return next((path for path, run in _PATHS.items() if run == calls), calls)
 
 
 def test_density_path_for_census_and_boundary_inputs(monkeypatch):
     f10 = math.factorial(10)
     for e in (2, 3, 4):
-        assert _density_path(monkeypatch, e, f10 - 1) == ["packed"]
+        assert _density_path(monkeypatch, e, f10 - 1) == "packed"
     for e in (5, 6):
-        assert _density_path(monkeypatch, e, f10 - 1) == ["dict"]
+        assert _density_path(monkeypatch, e, f10 - 1) == "dict"
     # The seeded census bounds lie within 1% below a share of 10! - 1.
     for e, share, path in ((4, 0.25, "packed"), (5, 0.5, "dict"),
                            (6, 0.75, "dict")):
         for upper in (int((f10 - 1) * share) - (f10 - 1) // 100,
                       int((f10 - 1) * share)):
-            assert _density_path(monkeypatch, e, upper) == [path]
-    for e, k, path in ((5, 10, "dict"), (5, 11, "packed"),
+            assert _density_path(monkeypatch, e, upper) == path
+    for e, k, path in ((5, 10, "dict"), (5, 11, "packed"), (5, 14, "packed"),
                        (6, 13, "dict"), (4, 10, "packed")):
-        assert _density_path(monkeypatch, e, math.factorial(k) - 1) == [path]
+        assert _density_path(monkeypatch, e, math.factorial(k) - 1) == path
+
+
+def test_slot_classification_matches_totals(atlas):
+    # The packed path against step_sum_tally's keys through atlas.totals.
+    f10 = math.factorial(10)
+    quarter = int((f10 - 1) * 0.25)  # the seeded census share at e = 4
+    cases = [(2, f10 - 1), (3, f10 - 1), (4, f10 - 1),
+             (4, quarter - (f10 - 1) // 100), (4, quarter),
+             (2, math.factorial(21) - 1)]  # 72-bit slots, one at a time
+    # 2 ** w - 2 is the last upper with w-bit slots, 2 ** w - 1 the first
+    # with wider ones.
+    cases += [(e, 2 ** w - d) for w in (8, 16, 32, 64) for d in (2, 1)
+              for e in (1, 2)]
+    for e, upper in cases:
+        at = atlas(e)
+        with pytest.MonkeyPatch.context() as mp:
+            assert _density_path(mp, e, upper) == "packed"
+        tally = step_sum_tally(e, upper)
+        del tally[0]
+        assert _density_totals(e, upper, at) == at.totals(tally), (e, upper)
+    # At k! - 1 every digit is maximal, so the largest step sum, the last
+    # slot, is the table's last entry.
+    for e in (2, 3, 4):
+        top = step_image_bound(e, f10 - 1)
+        assert len(_packed_tally(e, f10 - 1)) == top + 1
+        assert len(atlas(e).extended_index_table(top)) == top + 1
 
 
 @pytest.mark.parametrize("e", range(1, 9))
-def test_density_tally_refuses_what_step_sum_tally_refuses(e, monkeypatch):
+def test_density_tally_refuses_what_step_sum_tally_refuses(e, atlas, monkeypatch):
     k = next(k for k in range(3, 200)
              if _density_work(e, k) > DENSITY_WORK_LIMIT)  # digits of (k+1)!-1
     refused = math.factorial(k + 1) - 1
     with pytest.raises(ValueError) as dict_exc:
         step_sum_tally(e, refused)
     with pytest.raises(ValueError) as exc:
-        _density_tally(e, refused)
+        _density_totals(e, refused, atlas(e))
     assert str(exc.value) == str(dict_exc.value)
     accepted = math.factorial(k) - 1  # k - 1 digits
     assert _density_path(monkeypatch, e, accepted)
