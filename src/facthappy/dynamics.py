@@ -297,9 +297,10 @@ def _density_totals(e: int, upper: int, atlas: AttractorAtlas) -> list[int]:
         tally = step_sum_tally(e, upper)
         del tally[0]  # n = 0
         return atlas.totals(tally)
+    slots = _packed_tally(e, upper)[1:]  # slot 0 is n = 0
+    table = atlas.extended_index_table(top)  # after the DP's peak memory
     totals = [0] * len(atlas.attractors)
-    table = atlas.extended_index_table(top)
-    for a, c in zip(islice(table, 1, None), _packed_tally(e, upper)[1:]):
+    for a, c in zip(islice(table, 1, None), slots):
         totals[a] += c
     return totals
 

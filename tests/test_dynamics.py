@@ -482,7 +482,7 @@ def test_packed_tally_at_slot_width_edges(width):
 
 
 # The tally and the classification each path of _density_totals runs.
-_PATHS = {"packed": ["table", "packed"], "dict": ["dict", "totals"]}
+_PATHS = {"packed": ["packed", "table"], "dict": ["dict", "totals"]}
 
 
 def _density_path(monkeypatch, e, upper):
