@@ -142,10 +142,10 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
 def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     """Tally every n in [1, upper] by attractor, exactly, without a scan.
 
-    _density_totals counts the n by step value and classifies the values:
-    dense ones by the atlas's index table, sparse ones by its totals. A
-    call whose tally could exceed DENSITY_WORK_LIMIT dictionary updates
-    raises ValueError before any work.
+    _density_totals counts the n by step value, packed into one int where
+    the values are dense and in a dictionary elsewhere, and classifies
+    them. Either form raises ValueError before any work when the tally
+    could exceed DENSITY_WORK_LIMIT dictionary updates.
     """
     if upper < 1:
         raise ValueError(f"interval end must be positive, got {upper}")

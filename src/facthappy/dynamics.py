@@ -18,8 +18,8 @@ from math import comb, factorial
 from .factoradic import FactoradicRep, _split_digits, digit_count, to_factoradic
 
 DEFAULT_ORBIT_CAP = 10_000
-# Most dictionary updates a step-sum tally may need: it admits density
-# at e = 5 to 14! - 1 and e >= 6 to 13! - 1, and the atlas for e <= 8.
+# Most dictionary updates a step-sum tally may need, packed or not: it admits
+# density at e = 5 to 14! - 1 and e >= 6 to 13! - 1, and the atlas for e <= 8.
 DENSITY_WORK_LIMIT = 15 * 10 ** 6
 _LOW = 5040  # 7!: _low_sums tabulates step sums of the six lowest digits
 _LOW_SUMS_KEPT = 16  # exponents whose table _low_sums keeps, 41-426 KiB each
@@ -235,24 +235,25 @@ def _density_work(e: int, width: int) -> int:
     return work
 
 
-def _shift_into(dst: dict[int, int], src: dict[int, int], by: int) -> None:
+def _shift_into(dst: dict[int, int], src: dict[int, int], by: int) -> dict[int, int]:
     get = dst.get
     for s, c in src.items():
         t = s + by
         dst[t] = get(t, 0) + c
+    return dst
 
 
-def step_sum_tally(e: int, upper: int) -> dict[int, int]:
-    """Map each step value of an n in [0, upper] to how many n have it.
+def _tally_dp(e: int, upper: int, one, copy, shift_add):
+    """The step-sum digit DP over the factoradic digits of upper.
 
-    A digit DP over the factoradic digits of upper. low maps each step
-    sum of the positions below i, all digits free, to how many digit
-    strings give it; tally does the same for the n in [0, upper mod i!].
-    Position i, where upper has digit d, extends both: an n whose digit
-    there is some a < d has a free lower part, one whose digit is d
-    continues the old tally. While every digit so far is maximal, the
-    tally equals low and is low. Cost follows the distinct sums, not upper;
-    over DENSITY_WORK_LIMIT by _density_work it raises ValueError first.
+    A tally counts digit strings by step sum: one tallies {0}, copy(t)
+    copies t, and shift_add(dst, src, by) returns dst, reused or not,
+    plus src shifted by by. low tallies the positions below i, all
+    digits free; tally the n in [0, upper mod i!]. Position i, where
+    upper has digit d, extends both: an n whose digit there is a < d
+    has a free lower part, one whose digit is d continues the old tally.
+    While every digit so far is maximal, tally is low. Over
+    DENSITY_WORK_LIMIT by _density_work it raises ValueError first.
     """
     _check_exponent(e)
     digits = to_factoradic(upper).digits
@@ -260,25 +261,33 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
         raise ValueError(
             f"tallying the step sums up to upper={upper} at e={e} may take "
             f"over {DENSITY_WORK_LIMIT:,} dictionary updates")
-    low = tally = {0: 1}
+    low = tally = one
+    maximal = True
     for i, d in enumerate(digits, start=1):
         powers = [a ** e for a in range(i + 1)]
-        grown = dict(low)  # the digit a = 0 adds 0 ** e = 0
+        grown = copy(low)  # the digit a = 0 adds 0 ** e = 0
         for a in range(1, d):
-            _shift_into(grown, low, powers[a])
-        if tally is low and d == i:  # all digits so far maximal: tally is low
-            _shift_into(grown, low, powers[i])
-            low = tally = grown
+            grown = shift_add(grown, low, powers[a])
+        if maximal and d == i:
+            low = tally = shift_add(grown, low, powers[i])
             continue
+        maximal = False
         if d:  # with d = 0 no a < d term: the tally carries over as it is
-            below = grown if i == len(digits) else dict(grown)
-            _shift_into(below, tally, powers[d])
-            tally = below
+            below = grown if i == len(digits) else copy(grown)
+            tally = shift_add(below, tally, powers[d])
         if i < len(digits):
             for a in range(max(d, 1), i + 1):
-                _shift_into(grown, low, powers[a])
+                grown = shift_add(grown, low, powers[a])
             low = grown
     return tally
+
+
+def step_sum_tally(e: int, upper: int) -> dict[int, int]:
+    """Map each step value of an n in [0, upper] to how many n have it.
+
+    _tally_dp on a dictionary: cost follows the distinct sums, not upper.
+    """
+    return _tally_dp(e, upper, {0: 1}, dict, _shift_into)
 
 
 def _density_totals(e: int, upper: int, atlas: AttractorAtlas) -> list[int]:
@@ -287,13 +296,12 @@ def _density_totals(e: int, upper: int, atlas: AttractorAtlas) -> list[int]:
     Dense step sums (top + 1 <= _DENSE_RATIO * Catalan(k + 1), top the
     largest sum of k digits): one pass over _packed_tally's slots 1..top
     and atlas.extended_index_table(top). Sparse: atlas.totals over the
-    keys of step_sum_tally, which refuses over the work limit first.
+    keys of step_sum_tally. Either tally refuses over the work limit first.
     """
     _check_exponent(e)
     k = digit_count(upper)
     top = sum(i ** e for i in range(1, k + 1))
-    if (top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2)
-            or _density_work(e, k) > DENSITY_WORK_LIMIT):
+    if top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2):
         tally = step_sum_tally(e, upper)
         del tally[0]  # n = 0
         return atlas.totals(tally)
@@ -306,33 +314,16 @@ def _density_totals(e: int, upper: int, atlas: AttractorAtlas) -> list[int]:
 
 
 def _packed_tally(e: int, upper: int) -> memoryview | list[int]:
-    """step_sum_tally's recurrence on counts packed into one int.
+    """_tally_dp with the counts packed into one int.
 
     Slot s, w bits wide, holds the count of step sum s: a shift by a ** e
     is << a ** e * w and a merge is +. A count is at most upper + 1 <
     2 ** w, so no carry crosses a slot. Returns the count of every step
     sum from 0 up to the largest one met, zeros included.
     """
-    digits = to_factoradic(upper).digits
     bits = (upper + 1).bit_length()
     w = next((w for w in (8, 16, 32, 64) if bits <= w), -(-bits // 8) * 8)
-    low = tally = 1
-    maximal = True  # every digit so far maximal: the tally is low
-    for i, d in enumerate(digits, start=1):
-        shifts = [a ** e * w for a in range(i + 1)]
-        grown = low
-        for a in range(1, d):
-            grown += low << shifts[a]
-        if maximal and d == i:
-            low = tally = grown + (low << shifts[i])
-            continue
-        maximal = False
-        if d:
-            tally = grown + (tally << shifts[d])
-        if i < len(digits):
-            for a in range(max(d, 1), i + 1):
-                grown += low << shifts[a]
-            low = grown
+    tally = _tally_dp(e, upper, 1, int, lambda a, b, by: a + (b << by * w))
     size, step = -(-tally.bit_length() // w), w // 8
     data = tally.to_bytes(size * step, "little")
     if w <= 64 and sys.byteorder == "little":  # one C-level unpack

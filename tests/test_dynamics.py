@@ -424,9 +424,10 @@ def _packed_dict(e, upper):
 
 def test_packed_tally_matches_stream_and_dict_dp():
     # The stream oracle walks every value, so it checks the uppers up to
-    # 8!; the dict DP checks every upper. Uppers with over 10^6 slots,
-    # which take seconds each at e = 7 and 8, where density never packs
-    # them, are left out.
+    # 8!; above that the recurrence that shifts every digit in is the
+    # oracle. The dict DP is compared at every upper. Uppers with over
+    # 10^6 slots, which take seconds each at e = 7 and 8, where density
+    # never packs them, are left out.
     for e in range(1, 9):
         for upper in _tally_uppers() + _maximal_prefix_uppers():
             if step_image_bound(e, upper) >= 10 ** 6:
@@ -436,6 +437,8 @@ def test_packed_tally_matches_stream_and_dict_dp():
             assert list(packed) == sorted(packed)
             if upper <= math.factorial(8):
                 assert packed == Counter(_step_images(e, 0, upper))
+            else:
+                assert packed == _shift_every_digit_tally(e, upper)
 
 
 @settings(deadline=None)
@@ -461,7 +464,7 @@ def test_packed_tally_counts_past_each_slot_width(k, width):
     # 16, 32 and 64 bits unpack in one cast, 80 bits slot by slot.
     upper = math.factorial(k) - 1
     packed = _packed_dict(1, upper)
-    assert packed == step_sum_tally(1, upper)
+    assert packed == step_sum_tally(1, upper) == _shift_every_digit_tally(1, upper)
     assert max(packed.values()) >= 2 ** width
 
 
@@ -470,7 +473,8 @@ def test_packed_tally_wide_slots():
     # at a time.
     upper = math.factorial(21) - 1
     assert upper.bit_length() > 64
-    assert _packed_dict(2, upper) == step_sum_tally(2, upper)
+    assert _packed_dict(2, upper) == step_sum_tally(2, upper) == \
+        _shift_every_digit_tally(2, upper)
 
 
 @pytest.mark.parametrize("width", (8, 16, 32, 64))
@@ -478,7 +482,8 @@ def test_packed_tally_at_slot_width_edges(width):
     # 2 ** width - 2 is the last upper with width-bit slots.
     for upper in (2 ** width - 2, 2 ** width - 1, 2 ** width):
         for e in (1, 2):
-            assert _packed_dict(e, upper) == step_sum_tally(e, upper)
+            assert _packed_dict(e, upper) == step_sum_tally(e, upper) == \
+                _shift_every_digit_tally(e, upper)
 
 
 # The tally and the classification each path of _density_totals runs.
@@ -553,8 +558,14 @@ def test_density_tally_refuses_what_step_sum_tally_refuses(e, atlas, monkeypatch
     with pytest.raises(ValueError) as exc:
         _density_totals(e, refused, atlas(e))
     assert str(exc.value) == str(dict_exc.value)
+    # The packed form meets the same work check before any of its DP.
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        _packed_tally(e, refused)
+    assert time.perf_counter() - started < 1
+    assert str(exc.value) == str(dict_exc.value)
     accepted = math.factorial(k) - 1  # k - 1 digits
-    assert _density_path(monkeypatch, e, accepted)
+    assert _density_path(monkeypatch, e, accepted) == ("packed" if e <= 5 else "dict")
 
 
 def test_totals_match_attractor_index(atlas):

@@ -3,9 +3,9 @@
 The corpus in golden/density.json holds text, csv and json `density`
 output for e = 1..8 at several uppers, and the refusal of the least
 k! - 1 over the work limit for each e. The corpus in golden/cli.json
-holds every command line of the README plus one call that exits 1 and
-one that exits 2; stdout longer than _HASHED characters is kept as its
-sha256. A change that alters output on purpose rewrites the corpora and
+holds every command line of the README, one call that exits 1 and one
+that exits 2, then the cli-workload calls of perfbench seed 1; stdout
+longer than _HASHED characters is kept as its sha256. A change that alters output on purpose rewrites the corpora and
 names the entries it changed. To rewrite them:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,6 +30,54 @@ _REFUSED_K = {1: 105, 2: 48, 3: 28, 4: 19, 5: 15, 6: 14, 7: 14, 8: 14}
 _HASHED = 500
 # An atlas over the work limit (exit 1) and an orbit cap reached (exit 2).
 _FAILING = [("attractors", "--e", "9"), ("orbit", "2021", "--e", "2", "--cap", "2")]
+# The 39 calls of perfbench's cli workload at seed 1, in its order; each
+# exits 0.
+_WORKLOAD = [tuple(line.split()) for line in """\
+orbit 8778391 --e 6
+convert 745
+runs --e 4 --max-m 47 --cap 10000 --format json
+attractors --e 1
+attractors --e 6 --format csv
+attractors --e 5 --format csv
+orbit 14974418716924632758626636873436700 --e 5
+nice --e 2 --p 4 --l 2841
+density --e 5 --upper 2216 --format csv
+convert --digits 1.72.59.18.21.28.45.62.40.67.15.59.48.20.74.29.3.27.37.60.0.19.\
+34.43.55.55.8.23.36.15.38.33.50.15.37.19.11.14.50.23.27.1.15.14.44.37.16.22.19.31.\
+0.8.23.4.12.30.4.5.27.20.22.24.23.21.11.20.10.1.13.10.9.1.9.11.0.4.4.11.1.1.8.1.0.\
+4.3.1.0.0!
+density --e 4 --upper 3822 --format json
+attractors --e 2
+orbit 886497180106 --e 4
+nice --e 2 --p 4 --l 2841
+runs --e 2 --max-m 11 --cap 10000
+convert --digits 3.8.0.5.6.0.2.2.0.0!
+density --e 6 --upper 810 --format csv
+nice --e 4 --p 658 --l 65763
+attractors --e 4
+density --e 4 --upper 9004 --format csv
+nice --e 3 --p 16 --l 50127
+density --e 5 --upper 3340 --format json
+density --e 5 --upper 5947
+build --e 2 --p 4 --m 3
+attractors --e 6
+attractors --e 3
+bound --e 2
+density --e 6 --upper 8702 --format json
+orbit 650 --e 3 --trace
+bound --e 2
+attractors --e 5
+build --e 2 --p 1 --m 2 --format json
+density --e 6 --upper 6502
+runs --e 3 --max-m 30 --cap 10000 --format csv
+build --e 3 --p 1 --m 11
+convert 50485772071901991291557710414801567865001462280649752495309002138319217355\
+31028283623938767249820219215828139865545659108011692302526608052979240856551145\
+141259431080406681340744114440973200230869578
+orbit 61 --e 2 --trace
+density --e 4 --upper 1810
+build --e 4 --p 1 --m 15 --format json
+""".splitlines()]
 
 
 def _argv_list():
@@ -49,12 +97,12 @@ def _argv_list():
 
 
 def _cli_argv_list():
-    """The README's command lines, read as CI reads them, then _FAILING."""
+    """The README's command lines, read as CI reads them, _FAILING, _WORKLOAD."""
     block = README.read_text().split("## Command line", 1)[1]
     block = block.split("```text\n", 1)[1].split("```", 1)[0]
     calls = [tuple(shlex.split(line.split("#", 1)[0])[1:])
              for line in block.splitlines() if line.startswith("facthappy ")]
-    return calls + _FAILING
+    return calls + _FAILING + _WORKLOAD
 
 
 def _run(argv):
@@ -82,9 +130,11 @@ def test_corpus_covers_every_call():
 def test_cli_corpus_covers_the_readme():
     corpus = json.loads(CLI_CORPUS.read_text())
     assert [tuple(entry["argv"]) for entry in corpus] == _cli_argv_list()
-    assert len(corpus) > len(_FAILING)
-    assert [entry["code"] for entry in corpus[-2:]] == [1, 2]
-    assert {entry["code"] for entry in corpus[:-2]} == {0}
+    readme = len(corpus) - len(_FAILING) - len(_WORKLOAD)
+    assert readme > 0
+    codes = [entry["code"] for entry in corpus]
+    assert codes[readme:readme + len(_FAILING)] == [1, 2]
+    assert set(codes[:readme] + codes[readme + len(_FAILING):]) == {0}
 
 
 def test_density_outputs_match_corpus(atlas, monkeypatch):
