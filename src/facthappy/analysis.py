@@ -11,14 +11,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import comb
 
 from .dynamics import (
-    _LOW, Attractor, AttractorAtlas, _density_totals, _low_sums, _step_sum,
-    classify, happy_step_nat, step_image_bound)
+    _LOW, Attractor, AttractorAtlas, _high_sum, _low_sums, _packed_tally,
+    classify, happy_step_nat, step_image_bound, step_sum_tally)
+from .factoradic import digit_count
 
 # Largest search_cap smallest_runs accepts: its table holds one entry
 # per value up to the cap or, if smaller, the cap's step image bound.
 DEFAULT_SEARCH_CAP = 10 ** 6
+# density packs when top + 1 <= this * Catalan(k + 1). At k! - 1 the
+# whole packed call, tally and classification, took 0.5-0.67 of the dict
+# path's time at ratios 3.27-3.76, and 1.07-1.3 of it at 5.31 and 7.19.
+_DENSE_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     top = min(search_cap, step_image_bound(e, search_cap))
     table = atlas.extended_index_table(top)
     low = _low_sums(e)
-    high = [_step_sum(base, e, low) for base in range(0, search_cap + 1, _LOW)]
+    high = [_high_sum(q, e) for q in range(search_cap // _LOW + 1)]
 
     def hit(n: int) -> bool:  # n and its step share their attractor
         v = n if n <= top else high[n // _LOW] + low[n % _LOW]
@@ -142,16 +149,30 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
 def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     """Tally every n in [1, upper] by attractor, exactly, without a scan.
 
-    _density_totals counts the n by step value, packed into one int where
-    the values are dense and in a dictionary elsewhere, and classifies
-    them. Either form raises ValueError before any work when the tally
-    could exceed DENSITY_WORK_LIMIT dictionary updates.
+    The n are counted by step value. Dense step sums (top + 1 <=
+    _DENSE_RATIO * Catalan(k + 1), top the largest sum of k digits, k
+    upper's digit count): one pass over _packed_tally's slots 1..top and
+    atlas.extended_index_table(top). Sparse: atlas.totals over the keys
+    of step_sum_tally. Either tally raises ValueError before any work
+    when it could exceed DENSITY_WORK_LIMIT dictionary updates.
     """
     if upper < 1:
         raise ValueError(f"interval end must be positive, got {upper}")
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
-    counts = dict(zip(atlas.attractors, _density_totals(e, upper, atlas)))
+    k = digit_count(upper)
+    top = sum(i ** e for i in range(1, k + 1))
+    if top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2):
+        tally = step_sum_tally(e, upper)
+        del tally[0]  # n = 0
+        totals = atlas.totals(tally)
+    else:
+        slots = _packed_tally(e, upper)[1:]  # slot 0 is n = 0
+        table = atlas.extended_index_table(top)  # after the DP's peak memory
+        totals = [0] * len(atlas.attractors)
+        for a, c in zip(islice(table, 1, None), slots):
+            totals[a] += c
+    counts = dict(zip(atlas.attractors, totals))
     proportions = {att: Fraction(c, upper) for att, c in counts.items()}
     return DensityReport(e=e, upper=upper, counts=counts,
                          proportions=proportions)

@@ -12,8 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from math import comb, factorial
+from math import factorial
 
 from .factoradic import FactoradicRep, _split_digits, digit_count, to_factoradic
 
@@ -23,17 +22,14 @@ DEFAULT_ORBIT_CAP = 10_000
 DENSITY_WORK_LIMIT = 15 * 10 ** 6
 _LOW = 5040  # 7!: _low_sums tabulates step sums of the six lowest digits
 _LOW_SUMS_KEPT = 16  # exponents whose table _low_sums keeps, 41-426 KiB each
-# happy_step_nat steps an n of up to this many bits by _step_sum: within
-# 5% of the split digit sum at 640-832 bits, 5-15% slower at 896-1,088.
+# happy_step_nat steps an n of up to this many bits by _high_sum and the
+# low-sum table: within 5% of the split digit sum at 640-832 bits, 5-15%
+# slower at 896-1,088.
 _TABLE_BITS = 672
 # Largest exponent any step, bound or orbit accepts: at e = 200 the step
 # table holds 426 KiB and a default cap orbit of 2021 gives up after
 # 3-5 s, and both grow with e.
 EXPONENT_LIMIT = 200
-# _density_totals packs when top + 1 <= this * Catalan(k + 1). At k! - 1 the
-# whole packed call, tally and classification, took 0.5-0.67 of the dict
-# path's time at ratios 3.27-3.76, and 1.07-1.3 of it at 5.31 and 7.19.
-_DENSE_RATIO = 4
 
 
 class CertificationError(RuntimeError):
@@ -66,14 +62,15 @@ def happy_step_nat(n: int, e: int) -> int:
     """One step of the digit-power map applied to a nonnegative integer.
 
     An n over _TABLE_BITS bits takes its digits from the split conversion;
-    a smaller one takes _step_sum on the exponent's cached low-sum table.
+    a smaller one, _high_sum(n // 7!) plus its cached low-sum table entry.
     """
     _check_exponent(e)
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
     if n.bit_length() > _TABLE_BITS:
         return sum(a ** e for a in _split_digits(n))
-    return _step_sum(n, e, _low_sums(e))
+    q, r = divmod(n, _LOW)
+    return _high_sum(q, e) + _low_sums(e)[r]
 
 
 def iterate(n: int, e: int, count: int) -> int:
@@ -290,29 +287,6 @@ def step_sum_tally(e: int, upper: int) -> dict[int, int]:
     return _tally_dp(e, upper, {0: 1}, dict, _shift_into)
 
 
-def _density_totals(e: int, upper: int, atlas: AttractorAtlas) -> list[int]:
-    """Counts per attractor index of the n in [1, upper], from their steps.
-
-    Dense step sums (top + 1 <= _DENSE_RATIO * Catalan(k + 1), top the
-    largest sum of k digits): one pass over _packed_tally's slots 1..top
-    and atlas.extended_index_table(top). Sparse: atlas.totals over the
-    keys of step_sum_tally. Either tally refuses over the work limit first.
-    """
-    _check_exponent(e)
-    k = digit_count(upper)
-    top = sum(i ** e for i in range(1, k + 1))
-    if top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2):
-        tally = step_sum_tally(e, upper)
-        del tally[0]  # n = 0
-        return atlas.totals(tally)
-    slots = _packed_tally(e, upper)[1:]  # slot 0 is n = 0
-    table = atlas.extended_index_table(top)  # after the DP's peak memory
-    totals = [0] * len(atlas.attractors)
-    for a, c in zip(islice(table, 1, None), slots):
-        totals[a] += c
-    return totals
-
-
 def _packed_tally(e: int, upper: int) -> memoryview | list[int]:
     """_tally_dp with the counts packed into one int.
 
@@ -345,17 +319,11 @@ def _low_sums(e: int) -> tuple[int, ...]:
     return tuple(low)
 
 
-def _step_sum(v: int, e: int, low: tuple[int, ...]) -> int:
-    """Step of v >= 0, given low, the step sums of [0, 7! - 1].
-
-    low[v mod 7!] covers the six lowest digits; the digits from the 7!
-    place up add their e-th powers.
-    """
-    v, r = divmod(v, _LOW)
-    s = low[r]
-    radix = 8
-    while v:
-        v, r = divmod(v, radix)
+def _high_sum(q: int, e: int) -> int:
+    """Sum of the e-th powers of the digits of q * 7! from the 7! place up."""
+    s, radix = 0, 8
+    while q:
+        q, r = divmod(q, radix)
         s += r ** e
         radix += 1
     return s
@@ -423,7 +391,7 @@ class AttractorAtlas:
                 q, r = divmod(v, _LOW)
                 high = highs.get(q)
                 if high is None:
-                    high = highs[q] = _step_sum(q * _LOW, e, low)
+                    high = highs[q] = _high_sum(q, e)
                 v = high + low[r]
             totals[a] += c
         return totals
@@ -443,8 +411,8 @@ class AttractorAtlas:
         e, index, low = self.e, self._index, _low_sums(self.e)
         table = [-1]
         append = table.append
-        for base in range(0, upper + 1, _LOW):
-            high = _step_sum(base, e, low)
+        for q, base in enumerate(range(0, upper + 1, _LOW)):
+            high = _high_sum(q, e)
             end = min(_LOW, upper + 1 - base)
             if high + low[-1] < base:  # every image is in an earlier block
                 table += [table[high + s] for s in low[:end]]
@@ -495,7 +463,7 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
             q, r = divmod(v, _LOW)
             high = highs.get(q)
             if high is None:
-                high = highs[q] = _step_sum(q * _LOW, e, low)
+                high = highs[q] = _high_sum(q, e)
             v = high + low[r]
         if index[v] == -2 - n:
             k = path.index(v)

@@ -1,14 +1,16 @@
 from collections.abc import Iterator
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from facthappy import enumerate_attractors
+from facthappy import analysis, enumerate_attractors
 from facthappy.analysis import DensityReport, RunRecord, RunSearch
 from facthappy.dynamics import Attractor, happy_step_nat, step_image_bound
 from facthappy.factoradic import digit_count, to_factoradic
 
 _ATLASES = {}
+_TABLES = {}  # exponent -> index_table's list, grown on demand
 
 
 def loop_digits(n):
@@ -94,18 +96,35 @@ def atlas():
     return get
 
 
+def index_table(atlas, upper):
+    """Attractor index of every n in [1, upper] by definition; entry 0 is -1.
+
+    The atlas resolves each n up to memo_bound; a larger n takes the
+    entry of S(n), streamed by the factoradic counter, and S(n) < n
+    there. So the oracles below do not read extended_index_table, the
+    table density and smallest_runs read. One list per exponent is kept
+    for the session and grown on demand; it may run past upper.
+    """
+    table = _TABLES.setdefault(atlas.e, [-1])
+    table += [atlas.attractor_index(n)
+              for n in range(len(table), min(upper, atlas.memo_bound) + 1)]
+    for s in _step_images(atlas.e, len(table), upper):
+        table.append(table[s])
+    return table
+
+
 def scan_density(e, upper, atlas):
     """Reference tally for density: classify every n in [1, upper] in turn.
 
-    Values the extended table covers are read directly; each value
-    beyond it takes a single step, streamed by the factoradic counter,
-    before its lookup. Time is linear in upper.
+    Values index_table covers are read directly; each value beyond it
+    takes a single step, streamed by the factoradic counter, before its
+    lookup. Time is linear in upper.
     """
     # Covering the one-step image bound is enough: larger values
     # resolve through one step into the table.
-    table = atlas.extended_index_table(min(upper, step_image_bound(e, upper)))
+    covered = min(upper, step_image_bound(e, upper))
+    table = index_table(atlas, covered)
     totals = [0] * len(atlas.attractors)
-    covered = min(upper, len(table) - 1)
     for n in range(1, covered + 1):
         totals[table[n]] += 1
     for s in _step_images(e, covered + 1, upper):
@@ -133,11 +152,11 @@ def walk_tally(e, lo, hi, atlas):
 def sweep_runs(e, p, m_max, atlas, search_floor, search_cap):
     """Reference run search: one forward sweep over [search_floor, search_cap].
 
-    The sweep reads a table extended to the cap and keeps the current
-    run start; a miss resets it. Arguments are assumed valid.
+    The sweep reads index_table up to the cap and keeps the current run
+    start; a miss resets it. Arguments are assumed valid.
     """
     target = atlas.attractors.index(Attractor.fixed_point(p))
-    table = atlas.extended_index_table(search_cap)
+    table = index_table(atlas, search_cap)
     starts: dict[int, int] = {}
     run_start = None
     next_m = 1
@@ -158,3 +177,22 @@ def sweep_runs(e, p, m_max, atlas, search_floor, search_cap):
     return RunSearch(e=e, p=p, search_floor=search_floor,
                      search_cap=search_cap, records=records,
                      complete=next_m > m_max)
+
+
+# The tally and the classification each path of analysis.density runs.
+_PATHS = {"packed": ["packed", "table"], "dict": ["dict", "totals"]}
+
+
+def _density_path(monkeypatch, e, upper):
+    """Which path analysis.density takes for (e, upper), without its work."""
+    calls = []
+    monkeypatch.setattr(analysis, "_packed_tally",
+                        lambda *args: calls.append("packed") or [1])
+    monkeypatch.setattr(analysis, "step_sum_tally",
+                        lambda *args: calls.append("dict") or {0: 1})
+    stub = SimpleNamespace(
+        e=e, attractors=(),
+        extended_index_table=lambda top: calls.append("table") or [-1],
+        totals=lambda tally: calls.append("totals") or [])
+    assert analysis.density(e, upper, stub).counts == {}
+    return next((path for path, run in _PATHS.items() if run == calls), calls)

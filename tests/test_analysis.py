@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -420,6 +422,16 @@ def test_density_validates(atlas):
         density(3, 10, atlas(2))
     with pytest.raises(ValueError, match=f"upper={10 ** 40} at e=6"):
         density(6, 10 ** 40, atlas(6))
+
+
+def test_density_refuses_a_non_integer_exponent(atlas):
+    # 2.0 == 2, so the atlas check passes; the tally of either path
+    # refuses the exponent: packed at e = 2, 10 and dict at e = 5, 10^6.
+    for e, upper in ((2, 10), (5, 10 ** 6)):
+        for bad in (float(e), Fraction(e)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"exponent must be a positive integer, got {bad}") + "$"):
+                density(bad, upper, atlas(e))
 
 
 def test_emit_density_csv_golden(atlas):

@@ -4,13 +4,14 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _step_images, loop_natural, loop_step
+from conftest import (
+    _density_path, _step_images, index_table, loop_natural, loop_step)
 from facthappy import dynamics
+from facthappy.analysis import density
 from facthappy.dynamics import (
     DENSITY_WORK_LIMIT,
     EXPONENT_LIMIT,
@@ -27,8 +28,8 @@ from facthappy.dynamics import (
     smallest_j,
     step_image_bound,
     step_sum_tally,
-    _density_totals,
     _density_work,
+    _high_sum,
     _packed_tally,
 )
 from facthappy.factoradic import digit_count, to_factoradic
@@ -268,13 +269,38 @@ def test_extended_index_table_matches_attractor_index(e, atlas):
 
 
 @pytest.mark.parametrize("e", range(1, 9))
+def test_extended_index_table_matches_definition_table(e, atlas):
+    # index_table resolves n <= memo_bound through the atlas and reads
+    # any larger n at S(n), streamed by the factoradic counter.
+    at = atlas(e)
+    upper = 3 * 10 ** 5 if e <= 6 else 2 * 10 ** 4
+    assert at.extended_index_table(upper) == index_table(at, upper)[:upper + 1]
+
+
+def test_high_sum_matches_definition():
+    # The step of q * 7! is the power sum of its digits from the 7! place
+    # up, whose radices are 8, 9, ...: block edges of each radix, and
+    # random q up to the largest quotient happy_step_nat passes.
+    block = math.factorial(7)
+    rng = random.Random(672)
+    largest = (1 << dynamics._TABLE_BITS) // block
+    qs = {0, 1, largest} | {rng.randrange(largest) for _ in range(200)}
+    for k in range(8, 30):
+        edge = math.factorial(k) // block
+        qs.update((edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge))
+    for e in range(1, 9):
+        for q in qs:
+            assert _high_sum(q, e) == loop_step(q * block, e), (q, e)
+
+
+@pytest.mark.parametrize("e", range(1, 9))
 def test_extended_index_table_one_pass_blocks(e, atlas):
     # From the first 7!-block whose largest image lies below its base, a
     # block is read from the earlier entries alone.
     at = atlas(e)
     block, low = math.factorial(7), dynamics._low_sums(e)
-    first = next(base for base in range(block, 10 ** 8, block)
-                 if dynamics._step_sum(base, e, low) + low[-1] < base)
+    first = next(q * block for q in range(1, 10 ** 8 // block)
+                 if _high_sum(q, e) + low[-1] < q * block)
     table = at.extended_index_table(first + 2 * block)
     for n in range(max(1, first - block), first + 2 * block + 1):
         assert table[n] == at.attractor_index(n)
@@ -454,8 +480,8 @@ def test_density_tally_of_zero_and_one(e, atlas):
     at = atlas(e)
     assert _packed_dict(e, 0) == {0: 1}
     assert _packed_dict(e, 1) == {0: 1, 1: 1}
-    assert _density_totals(e, 0, at) == [0] * len(at.attractors)
-    assert _density_totals(e, 1, at) == [1] + [0] * (len(at.attractors) - 1)
+    assert list(density(e, 1, at).counts.values()) == \
+        [1] + [0] * (len(at.attractors) - 1)
 
 
 @pytest.mark.parametrize("k, width", [(7, 8), (10, 16), (15, 32), (24, 64)])
@@ -484,25 +510,6 @@ def test_packed_tally_at_slot_width_edges(width):
         for e in (1, 2):
             assert _packed_dict(e, upper) == step_sum_tally(e, upper) == \
                 _shift_every_digit_tally(e, upper)
-
-
-# The tally and the classification each path of _density_totals runs.
-_PATHS = {"packed": ["packed", "table"], "dict": ["dict", "totals"]}
-
-
-def _density_path(monkeypatch, e, upper):
-    """Which path _density_totals takes for (e, upper), without its work."""
-    calls = []
-    monkeypatch.setattr(dynamics, "_packed_tally",
-                        lambda *args: calls.append("packed") or [1])
-    monkeypatch.setattr(dynamics, "step_sum_tally",
-                        lambda *args: calls.append("dict") or {0: 1})
-    stub = SimpleNamespace(
-        attractors=(),
-        extended_index_table=lambda top: calls.append("table") or [-1],
-        totals=lambda tally: calls.append("totals") or [])
-    assert dynamics._density_totals(e, upper, stub) == []
-    return next((path for path, run in _PATHS.items() if run == calls), calls)
 
 
 def test_density_path_for_census_and_boundary_inputs(monkeypatch):
@@ -539,7 +546,8 @@ def test_slot_classification_matches_totals(atlas):
             assert _density_path(mp, e, upper) == "packed"
         tally = step_sum_tally(e, upper)
         del tally[0]
-        assert _density_totals(e, upper, at) == at.totals(tally), (e, upper)
+        assert list(density(e, upper, at).counts.values()) == \
+            at.totals(tally), (e, upper)
     # At k! - 1 every digit is maximal, so the largest step sum, the last
     # slot, is the table's last entry.
     for e in (2, 3, 4):
@@ -556,7 +564,7 @@ def test_density_tally_refuses_what_step_sum_tally_refuses(e, atlas, monkeypatch
     with pytest.raises(ValueError) as dict_exc:
         step_sum_tally(e, refused)
     with pytest.raises(ValueError) as exc:
-        _density_totals(e, refused, atlas(e))
+        density(e, refused, atlas(e))
     assert str(exc.value) == str(dict_exc.value)
     # The packed form meets the same work check before any of its DP.
     started = time.perf_counter()

@@ -9,17 +9,25 @@ longer than _HASHED characters is kept as its sha256. A change that alters outpu
 names the entries it changed. To rewrite them:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The README tables between "<!-- gate: name -->" and "<!-- /gate -->"
+are rebuilt from the library, all but their timing cells.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
 import shlex
 import sys
+from itertools import count
 from math import factorial
 from pathlib import Path
 
+import pytest
+
+from conftest import _density_path
 from facthappy import cli, dynamics
 
 CORPUS = Path(__file__).with_name("golden") / "density.json"
@@ -149,6 +157,42 @@ def test_cli_outputs_match_corpus(atlas, monkeypatch):
     monkeypatch.setattr(dynamics, "enumerate_attractors", atlas)
     for entry in json.loads(CLI_CORPUS.read_text()):
         assert _run_hashed(entry["argv"]) == entry, entry["argv"]
+
+
+def _gated_table(name):
+    """Cells of each row of the README table gated as name, rule row aside."""
+    text = README.read_text()
+    assert text.count(f"<!-- gate: {name} -->\n") == 1, name
+    block = text.split(f"<!-- gate: {name} -->\n")[1].split("\n<!-- /gate -->")[0]
+    return [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in block.splitlines() if not line.startswith("|---")]
+
+
+def test_readme_tables_match_library(atlas):
+    exponents = range(1, 9)
+    head = ["e"] + [str(e) for e in exponents]
+    rows = {row[0]: row for row in _gated_table("atlas sizes")}
+    assert [rows["e"], rows["memo_bound"], rows[r"\|Im\|"]] == [
+        head, ["memo_bound"] + [f"{atlas(e).memo_bound:,}" for e in exponents],
+        [r"\|Im\|"] + [f"{len(atlas(e)._index):,}" for e in exponents]]
+    with pytest.MonkeyPatch.context() as mp:
+        form = [_density_path(mp, e, factorial(10) - 1) for e in exponents]
+        rows = {row[0]: row for row in _gated_table("density form at 10! - 1")}
+        assert [rows["e"], rows["form"]] == [head, ["form"] + form]
+        accepted = [["e", "upper", "path"]]
+        for e in exponents:  # (k+1)! - 1 has k digits, the first refused
+            k = next(k for k in count(2) if dynamics._density_work(e, k)
+                     > dynamics.DENSITY_WORK_LIMIT)
+            accepted.append([str(e), f"{k}! - 1",
+                             _density_path(mp, e, factorial(k) - 1)])
+    assert [row[:3] for row in _gated_table("largest accepted k! - 1")] \
+        == accepted
+    beyond = [["e", "fixed points", "cycles"]]
+    for e in (7, 8):
+        at = atlas(e)
+        beyond.append([str(e), ", ".join(map(str, at.fixed_points)), ", ".join(
+            f"{c.members[0]} ({len(c.members)})" for c in at.cycles)])
+    assert _gated_table("attractors e = 7, 8") == beyond
 
 
 if __name__ == "__main__":
