@@ -12,9 +12,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
 
-from .factoradic import FactoradicRep, _split_digits, digit_count, to_factoradic
+from .factoradic import FactoradicRep, _split_digits, digit_count
 
 DEFAULT_ORBIT_CAP = 10_000
 # Most dictionary updates a step-sum tally may need, packed or not: it admits
@@ -55,7 +56,7 @@ class SizeCapError(RuntimeError):
 def happy_step(d: FactoradicRep, e: int) -> int:
     """Sum of e-th powers of the digits of d; the empty digit string gives 0."""
     _check_exponent(e)
-    return sum(a ** e for a in d.digits)
+    return sum(map(pow, d.digits, repeat(e)))
 
 
 def happy_step_nat(n: int, e: int) -> int:
@@ -68,7 +69,7 @@ def happy_step_nat(n: int, e: int) -> int:
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
     if n.bit_length() > _TABLE_BITS:
-        return sum(a ** e for a in _split_digits(n))
+        return sum(map(pow, _split_digits(n), repeat(e)))
     q, r = divmod(n, _LOW)
     return _high_sum(q, e) + _low_sums(e)[r]
 
@@ -253,7 +254,9 @@ def _tally_dp(e: int, upper: int, one, copy, shift_add):
     DENSITY_WORK_LIMIT by _density_work it raises ValueError first.
     """
     _check_exponent(e)
-    digits = to_factoradic(upper).digits
+    if upper < 0:
+        raise ValueError(f"expected a nonnegative integer, got {upper}")
+    digits = _split_digits(upper)
     if _density_work(e, len(digits)) > DENSITY_WORK_LIMIT:
         raise ValueError(
             f"tallying the step sums up to upper={upper} at e={e} may take "

@@ -41,7 +41,13 @@ def _validate(digits: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class FactoradicRep:
-    """Immutable factorial-base digit string, little-endian, no top zero."""
+    """Immutable factorial-base digit string, little-endian, no top zero.
+
+    Digits from outside the package are checked where they enter: by
+    this constructor, and so by parse and by to_natural of a raw
+    iterable. to_factoradic, add, shift and towers.preimage_ones build
+    their digits valid and return them through _trusted, unchecked.
+    """
 
     digits: tuple[int, ...]
 
@@ -61,6 +67,17 @@ class FactoradicRep:
 ZERO = FactoradicRep(())
 
 
+def _trusted(digits: tuple[int, ...]) -> FactoradicRep:
+    """A FactoradicRep of digits valid by construction, without _validate.
+
+    Sets the field as the frozen dataclass's __init__ does, so equality,
+    hashing and repr are those of a checked representation.
+    """
+    rep = object.__new__(FactoradicRep)
+    object.__setattr__(rep, "digits", digits)
+    return rep
+
+
 @lru_cache(maxsize=None)  # no lock: a race computes an equal product twice
 def _node(level: int, j: int) -> int:
     """Product of the radices of node (level, j), kept for the process."""
@@ -68,22 +85,30 @@ def _node(level: int, j: int) -> int:
             else perm(1 + _WIDTH * (j + 1), _WIDTH))
 
 
-def _fill(n: int, level: int, j: int, out: list[int]) -> None:
+def _fill(n: int, level: int, j: int, out: list[int], full: bool) -> None:
     """Append the digits of n, below the product of node (level, j), to out.
 
     len(out) is the node's first digit index. A zero quotient ends the
-    walk, so zeros are written only below a nonzero digit.
+    walk, so zeros are written only below a nonzero digit. full says the
+    quotient above the node is nonzero: a full leaf holds no top digit
+    and writes its whole width without testing n for zero.
     """
     while level:
         level -= 1
         j *= 2
         n, r = divmod(n, _node(level, j))
-        _fill(r, level, j, out)
+        _fill(r, level, j, out, n != 0)
         if not n:
             return
         j += 1
         out += [0] * ((_WIDTH * j << level) - len(out))
-    for radix in range(2 + _WIDTH * j, 2 + _WIDTH * (j + 1)):
+    radices = range(2 + _WIDTH * j, 2 + _WIDTH * (j + 1))
+    if full:
+        for radix in radices:
+            n, r = divmod(n, radix)
+            out.append(r)
+        return
+    for radix in radices:
         if not n:
             break
         n, r = divmod(n, radix)
@@ -99,7 +124,7 @@ def _split_digits(n: int) -> list[int]:
     level = 0
     while n >= _node(level, 0):
         level += 1
-    _fill(n, level, 0, out)
+    _fill(n, level, 0, out, False)
     return out
 
 
@@ -130,7 +155,7 @@ def to_factoradic(n: int) -> FactoradicRep:
     """
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
-    return FactoradicRep(tuple(_split_digits(n)))
+    return _trusted(tuple(_split_digits(n)))
 
 
 def to_natural(d: FactoradicRep | Iterable[int]) -> int:
@@ -166,13 +191,14 @@ def _decimal_digits(n: int) -> int:
 def shift(d: FactoradicRep, t: int) -> FactoradicRep:
     """Pad t zeros below d, moving digit a_i to position t + i.
 
-    The value becomes sum(a_i * (t+i)!). Zero shifts to zero.
+    The value becomes sum(a_i * (t+i)!). Zero shifts to zero. Each
+    a_i <= i < t + i, and the top digit stays nonzero.
     """
     if t < 0:
         raise ValueError(f"shift amount must be nonnegative, got {t}")
     if t == 0 or not d.digits:
         return d
-    return FactoradicRep((0,) * t + d.digits)
+    return _trusted((0,) * t + d.digits)
 
 
 def add(d: FactoradicRep, y: int) -> FactoradicRep:
@@ -197,7 +223,7 @@ def add(d: FactoradicRep, y: int) -> FactoradicRep:
             out.append(0)
         carry, out[i] = divmod(out[i] + carry, i + 2)
         i += 1
-    return FactoradicRep(tuple(out))
+    return _trusted(tuple(out))
 
 
 def parse(text: str) -> FactoradicRep:

@@ -28,6 +28,19 @@ def loop_digits(n):
     return tuple(out)
 
 
+def is_factoradic(digits):
+    """Does a little-endian digit tuple meet the definition?
+
+    0 <= a_i <= i at every position i and a nonzero top digit a_k, each
+    a_i an int. The oracle for the strings the package builds without
+    FactoradicRep's own check; it shares no code with that check.
+    """
+    return (type(digits) is tuple
+            and all(type(a) is int and 0 <= a <= i
+                    for i, a in zip(range(1, len(digits) + 1), digits))
+            and (not digits or digits[-1] != 0))
+
+
 def loop_step(n, e):
     """Step map by its definition: the e-th powers of the loop digits."""
     return sum(a ** e for a in loop_digits(n))

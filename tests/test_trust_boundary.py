@@ -1,0 +1,110 @@
+"""Digit strings are checked where they enter the package, and only there.
+
+FactoradicRep(...), parse and to_natural of a raw iterable check their
+digits. to_factoradic, add, shift, towers.preimage_ones and so
+towers.materialize build theirs valid and skip the check; these tests
+hold every string they return to conftest.is_factoradic, the definition
+itself, at radix-tree block edges (2 + 56·j), through carries at every
+position, at every shift up to 70 and on random integers of up to 10^5
+bits, and pin the refusals at the boundary.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import is_factoradic, loop_add, loop_digits
+from facthappy.dynamics import step_sum_tally
+from facthappy.factoradic import (
+    ZERO, FactoradicRep, MalformedRepresentationError, add, parse, shift,
+    to_factoradic, to_natural)
+from facthappy.towers import ChainNumber, materialize, preimage_ones
+
+# 0 and k! - 1, k!, k! + 1 for k up to 300: every digit maximal, one
+# digit alone, and a low digit beside it, on both sides of each edge.
+EDGES = [0] + [math.factorial(k) + d for k in range(1, 301) for d in (-1, 0, 1)]
+
+
+def built(rep):
+    """rep meets the definition and behaves as a checked FactoradicRep."""
+    assert type(rep) is FactoradicRep and is_factoradic(rep.digits)
+    checked = FactoradicRep(rep.digits)
+    assert rep == checked and hash(rep) == hash(checked)
+    assert repr(rep) == repr(checked)
+    return rep
+
+
+@st.composite
+def random_ints(draw, max_bits=10 ** 5):
+    """A random integer of up to max_bits bits, 0 included."""
+    bits = draw(st.integers(0, max_bits))
+    return random.Random(draw(st.integers(0, 2 ** 32))).getrandbits(bits)
+
+
+def test_to_factoradic_at_block_edges():
+    for n in EDGES:
+        assert built(to_factoradic(n)).digits == loop_digits(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=random_ints())
+def test_to_factoradic_random(n):
+    built(to_factoradic(n))
+
+
+def test_add_carries_through_every_position():
+    # k! - 1 has every digit maximal: adding 1 carries through all k - 1
+    # positions into a new top digit. y shorter than d, then longer.
+    for k in range(1, 301):
+        full = math.factorial(k) - 1
+        d = to_factoradic(full)
+        for y in (1, 2, math.factorial(k // 2 + 1) - 1, full, full * 3 + 1):
+            assert built(add(d, y)).digits == loop_add(d.digits, y)
+            assert built(add(to_factoradic(k), y)).digits == \
+                loop_add(loop_digits(k), y)
+    assert built(add(ZERO, 0)) == ZERO
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=random_ints(), y=random_ints())
+def test_add_random(x, y):
+    built(add(to_factoradic(x), y))
+
+
+def test_shift_by_every_amount_up_to_70():
+    reps = [ZERO] + [to_factoradic(n) for n in (1, 5, 23, 24, 10 ** 100)]
+    reps.append(to_factoradic(math.factorial(113) - 1))
+    for t in range(71):
+        for d in reps:
+            assert built(shift(d, t)).digits == \
+                ((0,) * t + d.digits if d.digits else ())
+
+
+def test_preimage_ones_and_materialize():
+    for x in (*range(1, 130), 10 ** 4):
+        assert built(preimage_ones(x)).digits == (1,) * x
+    for base in (0, 1, 2, 57, 58, 10 ** 30):
+        assert built(materialize(ChainNumber(base, 2, 0), 10 ** 6)) == \
+            to_factoradic(base)
+    for base, t in ((1, 0), (3, 0), (20, 2), (55, 3), (500, 70)):
+        rep = built(materialize(ChainNumber(base, t, 1), 10 ** 6))
+        assert rep.digits == (0,) * t + (1,) * base
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: FactoradicRep((1, 3)), "digit 3 at position 2 outside [0, 2]"),
+    (lambda: to_natural([1, 0]), "top digit is zero"),
+    (lambda: parse("3.0!"), "digit 3 at position 2 outside [0, 2]"),
+], ids=["FactoradicRep", "to_natural", "parse"])
+def test_entry_points_still_check(call, text):
+    with pytest.raises(MalformedRepresentationError) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_step_sum_tally_refuses_a_negative_upper():
+    with pytest.raises(ValueError) as info:
+        step_sum_tally(5, -1)
+    assert str(info.value) == "expected a nonnegative integer, got -1"
