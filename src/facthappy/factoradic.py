@@ -32,9 +32,10 @@ class MalformedRepresentationError(ValueError):
 
 def _validate(digits: tuple[int, ...]) -> None:
     for i, a in enumerate(digits, start=1):
-        if not 0 <= a <= i:
+        if type(a) is not int or not 0 <= a <= i:
             raise MalformedRepresentationError(
-                f"digit {a} at position {i} outside [0, {i}]")
+                f"digit {a!r} at position {i} is not an int" if type(a) is not int
+                else f"digit {a} at position {i} outside [0, {i}]")
     if digits and digits[-1] == 0:
         raise MalformedRepresentationError("top digit is zero")
 
@@ -151,10 +152,11 @@ def _join(digits: tuple[int, ...], level: int, j: int) -> int:
 def to_factoradic(n: int) -> FactoradicRep:
     """Digits of n >= 0 by successive division (radix 2, 3, 4, ...).
 
-    A big n is split first by the radix tree (see _split_digits).
+    A big n is split first by the radix tree (see _split_digits). n must
+    be an int: a bool, a float or a Fraction is refused by name.
     """
-    if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n!r}")
     return _trusted(tuple(_split_digits(n)))
 
 
@@ -207,8 +209,11 @@ def add(d: FactoradicRep, y: int) -> FactoradicRep:
     y is converted first and added digit by digit: position i keeps
     (digit + digit of y + carry) mod (i + 2) and passes the quotient up
     as the carry, which then goes on up alone. The last digit written
-    is a nonzero remainder, so no top zero can form.
+    is a nonzero remainder, so no top zero can form. y must be an int,
+    not a bool, a float or a Fraction.
     """
+    if type(y) is not int:
+        raise ValueError(f"addend must be an int, got {y!r}")
     if y < 0:
         raise ValueError(f"addend must be nonnegative, got {y}")
     out = list(d.digits)

@@ -138,8 +138,10 @@ class ChainNumber:
 class SequenceCertificate:
     """Witness that chain + 1, ..., chain + m all iterate to p.
 
-    steps_by_index[i] is the exact total number of steps taken by
-    chain + i: depth symbolic peels followed by the concrete tail.
+    The fields are the JSON form's (l is offset, per_i steps_by_index);
+    chain = ChainNumber(offset, t, r) and size_note are read off them.
+    steps_by_index[i] is the exact step count of chain + i, r symbolic
+    peels then the concrete tail, and every replay of i demands it.
     """
 
     e: int
@@ -148,39 +150,50 @@ class SequenceCertificate:
     t: int
     r: int
     offset: int
-    chain: ChainNumber
     steps_by_index: dict[int, int]
-    size_note: str
+
+    @property
+    def chain(self) -> ChainNumber:
+        return ChainNumber(self.offset, self.t, self.r)
+
+    @property
+    def size_note(self) -> str:
+        return _size_note(self.chain)
 
 
-def replay_run(cert: SequenceCertificate, i: int, *, cap: int = 10_000) -> int:
-    """Replay the orbit of chain + i down to p; return the exact step count.
+def _finish(cert: SequenceCertificate, i: int, value: int, steps: int) -> int:
+    """Iterate value to p after steps steps; the total must be steps_by_index[i]."""
+    budget = cert.steps_by_index[i]
+    while value != cert.p:
+        if steps >= budget:
+            raise ReplayError(
+                f"index {i}: concrete orbit missed {cert.p} within {budget} steps")
+        value = happy_step_nat(value, cert.e)
+        steps += 1
+    if steps != budget:
+        raise ReplayError(
+            f"index {i}: concrete orbit took {steps} steps, certificate says {budget}")
+    return steps
+
+
+def replay_run(cert: SequenceCertificate, i: int) -> int:
+    """Replay the orbit of chain + i down to p; return its step count.
 
     The first r steps rewrite (level j) + y to (level j+1) + step(y),
     checking the pad condition digit_count(y) <= t, as y < (t+1)!, met by
     any y < 2^t; then the value is the small integer offset + y and plain
-    iteration finishes the job. Any violated side condition or a tail that
-    misses p raises ReplayError, since the construction guarantees both.
+    iteration finishes the job. A violated side condition, or a total
+    other than steps_by_index[i], raises ReplayError naming i.
     """
     if not 1 <= i <= cert.m:
         raise ValueError(f"index {i} outside [1, {cert.m}]")
     y = i
-    steps = 0
     for _ in range(cert.r):
         if y.bit_length() > cert.t and y >= math.factorial(cert.t + 1):
             raise ReplayError(
                 f"index {i}: intermediate {y} has more than t={cert.t} digits")
         y = happy_step_nat(y, cert.e)
-        steps += 1
-    v = cert.offset + y
-    while v != cert.p:
-        v = happy_step_nat(v, cert.e)
-        steps += 1
-        if steps - cert.r > cap:
-            raise ReplayError(
-                f"index {i}: concrete tail from {cert.offset + y} "
-                f"missed {cert.p} within {cap} steps")
-    return steps
+    return _finish(cert, i, cert.offset + y, cert.r)
 
 
 def build_sequence(e: int, p: int, m: int, witness: NiceWitness,
@@ -191,8 +204,9 @@ def build_sequence(e: int, p: int, m: int, witness: NiceWitness,
     attractor member within r steps, and the least pad width t covering
     every intermediate digit count. The witness supplies the tail step
     counts; total steps per index are then r plus the tail. The
-    certificate is only returned after replay_run confirms every index.
-    An m outside [1, RUN_LENGTH_LIMIT] raises ValueError first.
+    certificate is only returned after replay_run has replayed every
+    index to its count. An m outside [1, RUN_LENGTH_LIMIT] raises
+    ValueError first.
     """
     _check_run_length(m)
     if witness.e != e or witness.p != p:
@@ -217,17 +231,10 @@ def build_sequence(e: int, p: int, m: int, witness: NiceWitness,
             raise WitnessError(
                 f"value {u} reached from {i} is not covered by the witness")
         steps_by_index[i] = witness.q_by_member[u] + r
-    chain = ChainNumber(base=witness.offset, shift=digit_count(top), depth=r)
-    cert = SequenceCertificate(
-        e=e, p=p, m=m, t=chain.shift, r=r, offset=witness.offset, chain=chain,
-        steps_by_index=steps_by_index, size_note=_size_note(chain),
-    )
+    cert = SequenceCertificate(e=e, p=p, m=m, t=digit_count(top), r=r,
+                               offset=witness.offset, steps_by_index=steps_by_index)
     for i in range(1, m + 1):
-        measured = replay_run(cert, i)
-        if measured != steps_by_index[i]:
-            raise ReplayError(
-                f"index {i}: replay took {measured} steps, expected "
-                f"{steps_by_index[i]}")
+        replay_run(cert, i)
     return cert
 
 
@@ -324,8 +331,8 @@ def verify_concrete(cert: SequenceCertificate, *, size_cap: int = 10 ** 6) -> No
 
     Materializes the chain (raising SizeCapError when it cannot fit),
     adds each index with full carry propagation, applies the first step
-    directly on the digit string and the rest on plain integers, and
-    demands the exact step counts of the certificate. The digit-string
+    directly on the digit string and finishes on plain integers as
+    replay_run does, to exactly steps_by_index[i]. The digit-string
     step is the one the symbolic replay performs by rewriting, so this
     closes the loop for every chain small enough to expand.
     """
@@ -333,27 +340,14 @@ def verify_concrete(cert: SequenceCertificate, *, size_cap: int = 10 ** 6) -> No
     for i in range(1, cert.m + 1):
         with_index = add(rep, i)
         if cert.r == 0:
-            value = to_natural(with_index)
-            steps = 0
-        else:
-            value = happy_step(with_index, cert.e)
-            steps = 1
-            if cert.r == 1 and value != cert.offset + happy_step_nat(i, cert.e):
-                raise ReplayError(
-                    f"index {i}: digit-string step gave {value}, symbolic "
-                    f"replay predicts {cert.offset + happy_step_nat(i, cert.e)}")
-        budget = cert.steps_by_index[i]
-        while value != cert.p:
-            value = happy_step_nat(value, cert.e)
-            steps += 1
-            if steps > budget:
-                raise ReplayError(
-                    f"index {i}: concrete orbit missed {cert.p} within "
-                    f"{budget} steps")
-        if steps != budget:
+            _finish(cert, i, to_natural(with_index), 0)
+            continue
+        value = happy_step(with_index, cert.e)
+        if cert.r == 1 and value != cert.offset + happy_step_nat(i, cert.e):
             raise ReplayError(
-                f"index {i}: concrete orbit took {steps} steps, certificate "
-                f"says {budget}")
+                f"index {i}: digit-string step gave {value}, symbolic "
+                f"replay predicts {cert.offset + happy_step_nat(i, cert.e)}")
+        _finish(cert, i, value, 1)
 
 
 def certificate_to_json(cert: SequenceCertificate) -> str:

@@ -461,10 +461,86 @@ def test_replay_rejects_undersized_pad(atlas):
     good = build_sequence(2, 1, 3, witness, atlas(2))
     bad = SequenceCertificate(
         e=good.e, p=good.p, m=good.m, t=0, r=good.r, offset=good.offset,
-        chain=ChainNumber(good.offset, 0, good.r),
-        steps_by_index=good.steps_by_index, size_note=good.size_note)
+        steps_by_index=good.steps_by_index)
     with pytest.raises(ReplayError):
         replay_run(bad, 2)
+
+
+def test_chain_and_size_note_follow_the_fields(atlas):
+    # chain and size_note are read off offset, t and r, so a replaced
+    # field moves both, and the replay and the expansion check one pad.
+    witness = nice_check(2, 1, 20, atlas(2))
+    good = build_sequence(2, 1, 3, witness, atlas(2))
+    for k in (0, 1, 5, 10 ** 6):
+        cert = dataclasses.replace(good, t=k)
+        assert cert.chain == ChainNumber(good.offset, k, good.r)
+        assert cert.size_note == _size_note(ChainNumber(good.offset, k, good.r))
+    cert = dataclasses.replace(good, offset=45, r=1)
+    assert cert.chain == ChainNumber(45, good.t, 1)
+    assert cert.size_note == "ones block of length 45 shifted by 2 (47 digits)"
+
+
+@pytest.mark.parametrize("e, p, offset, m", [
+    (2, 1, 20, 1), (2, 1, 20, 2), (4, 1, 6, 2), (1, 1, 1, 3)])
+def test_replay_and_verify_concrete_demand_the_certified_count(
+        e, p, offset, m, atlas):
+    # One count off by one, either way, fails both checks at that index
+    # and no other; depths 0, 1 and 2 all expand here.
+    good = build_sequence(e, p, m, nice_check(e, p, offset, atlas(e)), atlas(e))
+    assert good.r <= 2
+    for i in range(1, m + 1):
+        for delta in (-1, 1):
+            steps = {**good.steps_by_index, i: good.steps_by_index[i] + delta}
+            cert = dataclasses.replace(good, steps_by_index=steps)
+            with pytest.raises(ReplayError, match=f"^index {i}: concrete orbit "):
+                replay_run(cert, i)
+            with pytest.raises(ReplayError, match=f"^index {i}: concrete orbit "):
+                verify_concrete(cert)
+            for j in set(range(1, m + 1)) - {i}:
+                assert replay_run(cert, j) == good.steps_by_index[j]
+
+
+def test_replay_count_texts(atlas):
+    witness = nice_check(2, 1, 20, atlas(2))
+    good = build_sequence(2, 1, 2, witness, atlas(2))
+    assert good.steps_by_index[2] == 4
+    for steps, text in ((3, "index 2: concrete orbit missed 1 within 3 steps"),
+                        (5, "index 2: concrete orbit took 4 steps, "
+                            "certificate says 5"),
+                        (0, "index 2: concrete orbit missed 1 within 0 steps")):
+        cert = dataclasses.replace(
+            good, steps_by_index={**good.steps_by_index, 2: steps})
+        for check in (lambda: replay_run(cert, 2), lambda: verify_concrete(cert)):
+            with pytest.raises(ReplayError) as info:
+                check()
+            assert str(info.value) == text
+
+
+def _from_json(text):
+    """The certificate that certificate_to_json wrote, from t, r, l and per_i."""
+    obj = json.loads(text)
+    return SequenceCertificate(
+        e=obj["e"], p=obj["p"], m=obj["m"], t=obj["t"], r=obj["r"],
+        offset=obj["l"],
+        steps_by_index={row["i"]: row["steps"] for row in obj["per_i"]})
+
+
+@pytest.mark.parametrize("e, p, offset, ms", [
+    *((e, p, offset, range(1, 21)) for (e, p), offset in sorted(
+        BUILTIN_OFFSETS.items())),
+    (1, 1, 1, [3])])
+def test_certificate_json_holds_what_the_replay_needs(e, p, offset, ms, atlas):
+    witness = nice_check(e, p, offset, atlas(e))
+    for m in ms:
+        cert = build_sequence(e, p, m, witness, atlas(e))
+        text = certificate_to_json(cert)
+        back = _from_json(text)
+        assert back == cert
+        assert json.loads(text)["size_note"] == back.size_note
+        assert {i: replay_run(back, i) for i in range(1, m + 1)} == \
+            cert.steps_by_index
+    if e == 1:
+        assert back.chain.depth == 2
 
 
 def test_replay_index_bounds(atlas):

@@ -6,11 +6,12 @@ towers.materialize build theirs valid and skip the check; these tests
 hold every string they return to conftest.is_factoradic, the definition
 itself, at radix-tree block edges (2 + 56·j), through carries at every
 position, at every shift up to 70 and on random integers of up to 10^5
-bits, and pin the refusals at the boundary.
+bits, and pin the refusals at the boundary, of non-int values included.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,3 +109,45 @@ def test_step_sum_tally_refuses_a_negative_upper():
     with pytest.raises(ValueError) as info:
         step_sum_tally(5, -1)
     assert str(info.value) == "expected a nonnegative integer, got -1"
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: to_factoradic(2.5), "expected a nonnegative integer, got 2.5"),
+    (lambda: to_factoradic(Fraction(7, 2)),
+     "expected a nonnegative integer, got Fraction(7, 2)"),
+    (lambda: to_factoradic(3.0), "expected a nonnegative integer, got 3.0"),
+    (lambda: to_factoradic(True), "expected a nonnegative integer, got True"),
+    (lambda: to_factoradic("3"), "expected a nonnegative integer, got '3'"),
+    (lambda: to_factoradic(-1), "expected a nonnegative integer, got -1"),
+    (lambda: add(to_factoradic(3), 0.5), "addend must be an int, got 0.5"),
+    (lambda: add(to_factoradic(3), Fraction(1, 2)),
+     "addend must be an int, got Fraction(1, 2)"),
+    (lambda: add(to_factoradic(3), Fraction(2)),
+     "addend must be an int, got Fraction(2, 1)"),
+    (lambda: add(to_factoradic(3), False), "addend must be an int, got False"),
+    (lambda: add(to_factoradic(3), -1), "addend must be nonnegative, got -1"),
+], ids=["float", "Fraction", "integral float", "bool", "str", "negative",
+        "add float", "add Fraction", "add integral Fraction", "add bool",
+        "add negative"])
+def test_non_int_values_are_refused(call, text):
+    # An integer must be an int: a bool, though an int subclass, would
+    # be read as 0 or 1, and an integral float or Fraction as its value.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == text
+
+
+@pytest.mark.parametrize("digits, text", [
+    ((0.5,), "digit 0.5 at position 1 is not an int"),
+    ((1, 1.0), "digit 1.0 at position 2 is not an int"),
+    ((Fraction(1),), "digit Fraction(1, 1) at position 1 is not an int"),
+    ((True,), "digit True at position 1 is not an int"),
+    ((1, 0, False, 1), "digit False at position 3 is not an int"),
+    (("1",), "digit '1' at position 1 is not an int"),
+    ((1, 3), "digit 3 at position 2 outside [0, 2]"),
+])
+def test_non_int_digits_are_refused(digits, text):
+    for call in (FactoradicRep, to_natural):
+        with pytest.raises(MalformedRepresentationError) as info:
+            call(digits)
+        assert str(info.value) == text
