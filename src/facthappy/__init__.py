@@ -13,10 +13,10 @@ from .dynamics import (
 # towers and analysis load on first use, since most commands need
 # neither. Each name below maps to its home module.
 _LAZY = dict.fromkeys((
-    "towers", "ChainNumber", "NiceWitness", "PaddingTooSmallError",
-    "SequenceCertificate", "additivity_check", "build_sequence",
-    "certificate_to_json", "materialize", "nice_check", "preimage_ones",
-    "replay_run", "verify_concrete"), "towers")
+    "towers", "ChainNumber", "NiceWitness", "SequenceCertificate",
+    "additivity_check", "build_sequence", "certificate_to_json",
+    "materialize", "nice_check", "preimage_ones", "replay_run",
+    "verify_concrete"), "towers")
 _LAZY.update(dict.fromkeys((
     "analysis", "DensityReport", "RunRecord", "RunSearch", "density",
     "emit_report", "is_p_happy", "smallest_runs"), "analysis"))

@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=integer, required=True)
     p.add_argument("--p", type=integer, required=True)
     p.add_argument("--l", type=integer, required=True)
-    p.add_argument("--cap", type=integer, default=1000)
 
     p = sub.add_parser("build", help="build a consecutive-run certificate")
     p.add_argument("--e", type=integer, required=True)
@@ -165,7 +164,7 @@ def _cmd_bound(args) -> int:
 def _cmd_nice(args) -> int:
     from . import towers
     atlas = dynamics.enumerate_attractors(args.e)
-    witness = towers.nice_check(args.e, args.p, args.l, atlas, cap=args.cap)
+    witness = towers.nice_check(args.e, args.p, args.l, atlas)
     print(f"e: {witness.e}")
     print(f"p: {witness.p}")
     print(f"l: {witness.offset}")

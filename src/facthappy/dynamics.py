@@ -492,12 +492,15 @@ def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,
              cap: int = DEFAULT_ORBIT_CAP, trace: bool = False) -> OrbitReport:
     """Follow the orbit of n until it enters a fixed point or cycle.
 
-    With an atlas, the atlas resolves n; without one the walk keeps a
-    visited map and detects the first repeat. steps_to_attractor is the
-    least step count whose iterate lies on the attractor. trace
-    additionally records the values from n up to and including the
-    attractor entry point. Exponents above EXPONENT_LIMIT and a
-    negative cap raise ValueError.
+    cap bounds the walk itself: without an atlas it keeps a visited map
+    up to the first repeat, so n's distinct orbit values, the cycle
+    included, must number at most cap (a fixed point n passes any cap);
+    with one it takes at most cap steps to the atlas's image set, which
+    supplies the rest: classify(3598, 2, cap=5) raises OrbitCapError and
+    classify(3598, 2, enumerate_attractors(2), cap=5) returns 6 steps.
+    steps_to_attractor is the least step count whose iterate lies on the
+    attractor; trace records the values from n through its entry point.
+    Exponents above EXPONENT_LIMIT and a negative cap raise ValueError.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")

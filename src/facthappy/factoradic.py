@@ -176,9 +176,9 @@ def to_natural(d: FactoradicRep | Iterable[int]) -> int:
 
 
 def digit_count(n: int) -> int:
-    """Number of factoradic digits of n >= 0 (0 has none)."""
-    if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n}")
+    """Number of factoradic digits of n >= 0 (0 has none); n must be an int."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n!r}")
     return len(_split_digits(n))
 
 

@@ -37,10 +37,6 @@ from .factoradic import (
 RUN_LENGTH_LIMIT = 10 ** 4
 
 
-class PaddingTooSmallError(ValueError):
-    """strict additivity check called with fewer pad zeros than y has digits."""
-
-
 def preimage_ones(x: int) -> FactoradicRep:
     """The all-ones representation of length x; its step image is x for any e."""
     if x < 1:
@@ -48,19 +44,15 @@ def preimage_ones(x: int) -> FactoradicRep:
     return _trusted((1,) * x)
 
 
-def additivity_check(x: int, y: int, t: int, e: int, *, strict: bool = False) -> bool:
+def additivity_check(x: int, y: int, t: int, e: int) -> bool:
     """Evaluate step(pad_t(x) + y) == step(x) + step(y) concretely.
 
     True is guaranteed whenever t >= digit_count(y); with a smaller t
     the identity can fail, which is exactly what makes the negative
-    cases informative. strict=True raises instead of evaluating when
-    the side condition does not hold.
+    cases informative.
     """
     if x < 1 or y < 0 or t < 0:
         raise ValueError(f"need x >= 1, y >= 0, t >= 0, got {(x, y, t)}")
-    if strict and t < digit_count(y):
-        raise PaddingTooSmallError(
-            f"t={t} is below the {digit_count(y)} digits of y={y}")
     padded = to_natural(shift(to_factoradic(x), t)) + y
     return happy_step_nat(padded, e) == happy_step_nat(x, e) + happy_step_nat(y, e)
 
@@ -79,8 +71,7 @@ class NiceWitness:
     q_by_member: dict[int, int]
 
 
-def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas, *,
-               cap: int = 1000) -> NiceWitness:
+def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas) -> NiceWitness:
     """Verify that offset + u iterates to p for every attractor member u.
 
     Members are taken from the atlas (fixed points and all cycle
@@ -88,13 +79,9 @@ def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas, *,
     the step count to that attractor. Raises WitnessError naming the
     first failing member and where its orbit actually went; a p that
     is not a fixed point or a negative offset raises ValueError first.
-    The cap is a safety net far above the step counts seen in practice
-    (at most 12 for the bundled witnesses).
     """
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
-    if cap < 0:
-        raise ValueError(f"step cap must be nonnegative, got {cap}")
     if p not in atlas.fixed_points:
         raise ValueError(f"{p} is not a fixed point for e={e}")
     if offset < 0:  # 1 is a member, so offset + u must stay >= 1
@@ -104,10 +91,9 @@ def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas, *,
     q_by_member: dict[int, int] = {}
     for u in members:
         landed, q = atlas.lookup(offset + u)
-        if landed.members != (p,) or q > cap:
-            raise WitnessError(
-                f"offset {offset}: member {u} did not reach {p} within "
-                f"{cap} steps (orbit settles on {landed.text})")
+        if landed.members != (p,):
+            raise WitnessError(f"offset {offset}: member {u} did not reach {p} "
+                               f"(orbit settles on {landed.text})")
         q_by_member[u] = q
     return NiceWitness(e=e, p=p, offset=offset, q_by_member=q_by_member)
 
@@ -141,7 +127,9 @@ class SequenceCertificate:
     The fields are the JSON form's (l is offset, per_i steps_by_index);
     chain = ChainNumber(offset, t, r) and size_note are read off them.
     steps_by_index[i] is the exact step count of chain + i, r symbolic
-    peels then the concrete tail, and every replay of i demands it.
+    peels then the concrete tail, and every replay of i demands it. Its
+    keys must be exactly 1..m: the first missing or extra index raises
+    ValueError.
     """
 
     e: int
@@ -151,6 +139,15 @@ class SequenceCertificate:
     r: int
     offset: int
     steps_by_index: dict[int, int]
+
+    def __post_init__(self) -> None:
+        for i in range(1, self.m + 1):
+            if i not in self.steps_by_index:
+                raise ValueError(f"steps_by_index has no index {i}")
+        for i in self.steps_by_index:
+            if not (type(i) is int and 1 <= i <= self.m):
+                raise ValueError(
+                    f"steps_by_index has index {i!r} outside [1, {self.m}]")
 
     @property
     def chain(self) -> ChainNumber:

@@ -128,6 +128,8 @@ def test_nice_and_build_bad_input_exit_one(capsys):
              "3 is not a fixed point for e=2"),
             (("nice", "--e", "2", "--p", "1", "--l", "-3"),
              "offset must be nonnegative, got -3"),
+            (("nice", "--e", "2", "--p", "1", "--l", "20", "--cap", "5"),
+             "unrecognized arguments: --cap 5"),
             (("build", "--e", "2", "--p", "1", "--m", "2", "--l", "-1"),
              "offset must be nonnegative, got -1")):
         code, out, err = run_cli(capsys, *argv)
@@ -313,7 +315,6 @@ def test_negative_and_below_floor_caps_refused(capsys):
             (("runs", "--e", "2", "--max-m", "3", "--cap", "1"), "1"),
             (("runs", "--e", "2", "--max-m", "3", "--floor", "1",
               "--cap", "0"), "0"),
-            (("nice", "--e", "2", "--p", "1", "--l", "20", "--cap", "-1"), "-1"),
             (("orbit", "2021", "--e", "2", "--cap", "-1"), "-1"),
             (("orbit", "2021", "--e", "2", "--trace", "--cap", "-1"), "-1")):
         code, out, err = run_cli(capsys, *argv)

@@ -701,6 +701,11 @@ def test_classify_cap(atlas):
         classify(2020, 2, cap=2)
     with pytest.raises(OrbitCapError):
         classify(10 ** 30, 2, atlas(2), cap=1)
+    # The cap counts only the walk itself: 3598 needs all 7 of its orbit
+    # values without an atlas, and 4 steps to the image set with one.
+    with pytest.raises(OrbitCapError, match="exceeded 5 steps$"):
+        classify(3598, 2, cap=5)
+    assert classify(3598, 2, atlas(2), cap=5).steps_to_attractor == 6
 
 
 def test_classify_least_cap_without_atlas():

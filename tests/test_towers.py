@@ -14,7 +14,6 @@ from facthappy.factoradic import add, digit_count, to_factoradic, to_natural
 from facthappy.towers import (
     RUN_LENGTH_LIMIT,
     ChainNumber,
-    PaddingTooSmallError,
     ReplayError,
     SequenceCertificate,
     SizeCapError,
@@ -64,8 +63,6 @@ def test_additivity_check_examples():
     assert additivity_check(5, 3, 2, 2) is True
     # the identity is sharp: with no padding it fails for x = y = 1, e = 2
     assert additivity_check(1, 1, 0, 2) is False
-    with pytest.raises(PaddingTooSmallError):
-        additivity_check(1, 1, 0, 2, strict=True)
     rng = random.Random(3)
     for _ in range(50):
         assert additivity_check(rng.randrange(1, 10 ** 6), 0, 0, 2) is True
@@ -78,7 +75,7 @@ def test_additivity_randomized():
         y = rng.randrange(0, 10 ** 4)
         t = digit_count(y) + rng.randrange(0, 3)
         e = rng.randrange(1, 7)
-        assert additivity_check(x, y, t, e, strict=True) is True
+        assert additivity_check(x, y, t, e) is True
 
 
 @pytest.mark.parametrize("key", sorted(WITNESSES))
@@ -88,12 +85,12 @@ def test_nice_check_known_offsets(key, atlas):
     assert witness.q_by_member == WITNESSES[key]
 
 
-def _first_passage(v, e, p, cap):
-    """Steps from v to p by plain iteration; None if a repeat or the cap comes first."""
+def _first_passage(v, e, p):
+    """Steps from v to p by plain iteration; None if a repeat comes first."""
     seen = set()
     q = 0
     while v != p:
-        if v in seen or q == cap:
+        if v in seen:
             return None
         seen.add(v)
         v = happy_step_nat(v, e)
@@ -110,20 +107,19 @@ def test_nice_check_matches_first_passage_walk(key, atlas):
     outcomes = set()
     for k in range(200):
         offset = builtin if k == 0 else rng.randrange(0, 10 ** 5)
-        cap = 1000 if k == 0 else rng.choice((1000, rng.randrange(0, 12)))
-        walked = {u: _first_passage(offset + u, e, p, cap) for u in members}
+        walked = {u: _first_passage(offset + u, e, p) for u in members}
         failing = [u for u in members if walked[u] is None]
         if not failing:
-            assert nice_check(e, p, offset, at, cap=cap).q_by_member == walked
+            assert nice_check(e, p, offset, at).q_by_member == walked
             outcomes.add("pass")
             continue
         u = failing[0]
         landed = classify(offset + u, e).attractor.text
         with pytest.raises(WitnessError) as info:
-            nice_check(e, p, offset, at, cap=cap)
+            nice_check(e, p, offset, at)
         assert str(info.value) == (
-            f"offset {offset}: member {u} did not reach {p} within {cap} "
-            f"steps (orbit settles on {landed})")
+            f"offset {offset}: member {u} did not reach {p} "
+            f"(orbit settles on {landed})")
         outcomes.add("fail")
     assert outcomes == {"pass", "fail"}
 
@@ -146,13 +142,6 @@ def test_nice_check_rejects_negative_offset(atlas):
                 ValueError, match=f"^offset must be nonnegative, got {offset}$"):
             nice_check(2, 1, offset, atlas(2))
     assert nice_check(3, 1, 2, atlas(3)).offset == 2
-
-
-def test_nice_check_cap(atlas):
-    with pytest.raises(WitnessError):
-        nice_check(4, 1, 6, atlas(4), cap=3)
-    with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
-        nice_check(2, 1, 20, atlas(2), cap=-1)
 
 
 def test_build_sequence_depth_two(atlas):
@@ -514,6 +503,27 @@ def test_replay_count_texts(atlas):
             with pytest.raises(ReplayError) as info:
                 check()
             assert str(info.value) == text
+
+
+def test_certificate_indices_must_be_one_to_m(atlas):
+    # A missing index would fail the replay with a bare KeyError, and an
+    # extra one would reach the JSON form; both are refused on creation.
+    good = build_sequence(2, 1, 3, nice_check(2, 1, 20, atlas(2)), atlas(2))
+    steps = good.steps_by_index
+    for change, text in (
+            ({"steps_by_index": {1: 5, 3: 5}}, "steps_by_index has no index 2"),
+            ({"steps_by_index": {}}, "steps_by_index has no index 1"),
+            ({"m": 4}, "steps_by_index has no index 4"),
+            ({"steps_by_index": {**steps, 4: 5}},
+             "steps_by_index has index 4 outside [1, 3]"),
+            ({"steps_by_index": {**steps, 0: 5}},
+             "steps_by_index has index 0 outside [1, 3]"),
+            ({"steps_by_index": {**steps, "2": 5}},
+             "steps_by_index has index '2' outside [1, 3]"),
+            ({"m": 2}, "steps_by_index has index 3 outside [1, 2]")):
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(good, **change)
+        assert str(info.value) == text
 
 
 def _from_json(text):

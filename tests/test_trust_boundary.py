@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import is_factoradic, loop_add, loop_digits
 from facthappy.dynamics import step_sum_tally
 from facthappy.factoradic import (
-    ZERO, FactoradicRep, MalformedRepresentationError, add, parse, shift,
-    to_factoradic, to_natural)
+    ZERO, FactoradicRep, MalformedRepresentationError, add, digit_count, parse,
+    shift, to_factoradic, to_natural)
 from facthappy.towers import ChainNumber, materialize, preimage_ones
 
 # 0 and k! - 1, k!, k! + 1 for k up to 300: every digit maximal, one
@@ -119,6 +119,12 @@ def test_step_sum_tally_refuses_a_negative_upper():
     (lambda: to_factoradic(True), "expected a nonnegative integer, got True"),
     (lambda: to_factoradic("3"), "expected a nonnegative integer, got '3'"),
     (lambda: to_factoradic(-1), "expected a nonnegative integer, got -1"),
+    (lambda: digit_count(2.5), "expected a nonnegative integer, got 2.5"),
+    (lambda: digit_count(Fraction(7, 2)),
+     "expected a nonnegative integer, got Fraction(7, 2)"),
+    (lambda: digit_count(3.0), "expected a nonnegative integer, got 3.0"),
+    (lambda: digit_count(True), "expected a nonnegative integer, got True"),
+    (lambda: digit_count(-1), "expected a nonnegative integer, got -1"),
     (lambda: add(to_factoradic(3), 0.5), "addend must be an int, got 0.5"),
     (lambda: add(to_factoradic(3), Fraction(1, 2)),
      "addend must be an int, got Fraction(1, 2)"),
@@ -127,6 +133,8 @@ def test_step_sum_tally_refuses_a_negative_upper():
     (lambda: add(to_factoradic(3), False), "addend must be an int, got False"),
     (lambda: add(to_factoradic(3), -1), "addend must be nonnegative, got -1"),
 ], ids=["float", "Fraction", "integral float", "bool", "str", "negative",
+        "digit_count float", "digit_count Fraction",
+        "digit_count integral float", "digit_count bool", "digit_count negative",
         "add float", "add Fraction", "add integral Fraction", "add bool",
         "add negative"])
 def test_non_int_values_are_refused(call, text):
