@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import perm
+from operator import le
 from typing import Iterable, Iterator
 
 # Block j: the _WIDTH radices 2 + _WIDTH*j .. 1 + _WIDTH*(j+1). Node (level, j):
@@ -28,6 +29,12 @@ _WIDTH = 56
 
 class MalformedRepresentationError(ValueError):
     """A digit sequence or digit string violates the factoradic invariants."""
+
+
+def _need_ints(**values: int) -> None:
+    for name, value in values.items():
+        if type(value) is not int:  # a bool, a float or a Fraction is refused
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _validate(digits: tuple[int, ...]) -> None:
@@ -45,9 +52,9 @@ class FactoradicRep:
     """Immutable factorial-base digit string, little-endian, no top zero.
 
     Digits from outside the package are checked where they enter: by
-    this constructor, and so by parse and by to_natural of a raw
-    iterable. to_factoradic, add, shift and towers.preimage_ones build
-    their digits valid and return them through _trusted, unchecked.
+    this constructor, so by to_natural of a raw iterable, and by parse.
+    to_factoradic, add, shift and towers.preimage_ones build their
+    digits valid; they and parse return through _trusted, unchecked.
     """
 
     digits: tuple[int, ...]
@@ -212,8 +219,7 @@ def add(d: FactoradicRep, y: int) -> FactoradicRep:
     is a nonzero remainder, so no top zero can form. y must be an int,
     not a bool, a float or a Fraction.
     """
-    if type(y) is not int:
-        raise ValueError(f"addend must be an int, got {y!r}")
+    _need_ints(addend=y)
     if y < 0:
         raise ValueError(f"addend must be nonnegative, got {y}")
     out = list(d.digits)
@@ -231,6 +237,13 @@ def add(d: FactoradicRep, y: int) -> FactoradicRep:
     return _trusted(tuple(out))
 
 
+@lru_cache(maxsize=None)  # kept, about 0.48 MB; a race builds an equal one twice
+def _digit_texts() -> tuple[tuple[str, ...], dict[str, int]]:
+    """Texts of the digits 0..4096, enough for 4,096-digit strings, and their values."""
+    texts = tuple(map(str, range(4097)))
+    return texts, dict(zip(texts, range(4097)))
+
+
 def parse(text: str) -> FactoradicRep:
     """Parse the '.'-separated, '!'-terminated big-endian digit format.
 
@@ -245,15 +258,20 @@ def parse(text: str) -> FactoradicRep:
     if body == "0":
         return ZERO
     tokens = body.split(".")
-    # Well-formed text passes in bulk; else the loop names the bad token.
-    if (body.isascii() and body.replace(".", "").isdigit() and body[0] != "0"
-            and "" not in tokens and body.count(".0") == tokens.count("0")
-            and max(map(len, tokens)) <= len(str(len(tokens)))):
-        try:
-            return FactoradicRep(tuple(map(int, reversed(tokens))))
-        except MalformedRepresentationError:
-            pass  # bulk lengths are per string; the loop's per-position message wins
-    for pos, tok in zip(range(len(tokens), 0, -1), tokens):
+    k = len(tokens)
+    # A token that is not the exact text of a digit misses the table; past
+    # it, a bulk pass lets int() read only ASCII digits with no leading 0.
+    values = _digit_texts()[1]
+    read = (int if k >= len(values) and body.isascii()
+            and body.replace(".", "").isdigit() and max(map(len, tokens)) <= len(str(k))
+            and ("." + body).count(".0") == tokens.count("0") else values.__getitem__)
+    try:
+        digits = tuple(map(read, reversed(tokens)))
+        if digits[-1] and all(map(le, digits, range(1, k + 1))):
+            return _trusted(digits)
+    except (KeyError, ValueError):
+        pass  # the loop below names the first fault of the text
+    for pos, tok in zip(range(k, 0, -1), tokens):
         if (not (tok.isascii() and tok.isdigit())
                 or (len(tok) > 1 and tok[0] == "0")
                 or len(tok) > len(str(pos))):
@@ -261,7 +279,7 @@ def parse(text: str) -> FactoradicRep:
                 f"bad digit token {tok[:40]!r} at position {pos}")
     if tokens[0] == "0":
         raise MalformedRepresentationError(
-            f"leading zero digit at position {len(tokens)}")
+            f"leading zero digit at position {k}")
     return FactoradicRep(tuple(map(int, reversed(tokens))))
 
 
@@ -269,4 +287,7 @@ def format(d: FactoradicRep) -> str:
     """Render big-endian with '.' separators and a trailing '!'; zero is "0!"."""
     if not d.digits:
         return "0!"
+    texts = _digit_texts()[0]
+    if len(d.digits) < len(texts):
+        return ".".join(map(texts.__getitem__, reversed(d.digits))) + "!"
     return ".".join(str(a) for a in reversed(d.digits)) + "!"

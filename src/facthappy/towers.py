@@ -27,8 +27,8 @@ from .dynamics import (
     AttractorAtlas, ReplayError, SizeCapError, WitnessError, happy_step,
     happy_step_nat)
 from .factoradic import (
-    FactoradicRep, _decimal_digits, _trusted, add, digit_count, shift,
-    to_factoradic, to_natural)
+    FactoradicRep, _decimal_digits, _need_ints, _trusted, add, digit_count,
+    shift, to_factoradic, to_natural)
 
 # Longest run build_sequence certifies. Each index is looked up, stepped
 # and replayed, so the time is linear in m: m = 10^4 takes 0.3-1.2 s for
@@ -39,6 +39,7 @@ RUN_LENGTH_LIMIT = 10 ** 4
 
 def preimage_ones(x: int) -> FactoradicRep:
     """The all-ones representation of length x; its step image is x for any e."""
+    _need_ints(x=x)
     if x < 1:
         raise ValueError(f"need a positive length, got {x}")
     return _trusted((1,) * x)
@@ -77,9 +78,11 @@ def nice_check(e: int, p: int, offset: int, atlas: AttractorAtlas) -> NiceWitnes
     Members are taken from the atlas (fixed points and all cycle
     members), and so is each first passage: for a fixed point it is
     the step count to that attractor. Raises WitnessError naming the
-    first failing member and where its orbit actually went; a p that
-    is not a fixed point or a negative offset raises ValueError first.
+    first failing member and where its orbit actually went; a non-int
+    e, p or offset, a p that is not a fixed point or a negative offset
+    raises ValueError first.
     """
+    _need_ints(e=e, p=p, offset=offset)
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
     if p not in atlas.fixed_points:
@@ -202,9 +205,10 @@ def build_sequence(e: int, p: int, m: int, witness: NiceWitness,
     every intermediate digit count. The witness supplies the tail step
     counts; total steps per index are then r plus the tail. The
     certificate is only returned after replay_run has replayed every
-    index to its count. An m outside [1, RUN_LENGTH_LIMIT] raises
-    ValueError first.
+    index to its count. A non-int e, p or m, or an m outside
+    [1, RUN_LENGTH_LIMIT], raises ValueError first.
     """
+    _need_ints(e=e, p=p, m=m)
     _check_run_length(m)
     if witness.e != e or witness.p != p:
         raise ValueError(

@@ -709,9 +709,11 @@ def test_classify_cap(atlas):
 
 
 def test_classify_least_cap_without_atlas():
-    # The walk records n and each new value; the cap bounds that count
-    # beyond n itself, so the least cap that succeeds is the number of
-    # distinct values after n, and one less gives up.
+    # Without an atlas the walk keeps n and each new value up to the
+    # first repeat, and those distinct values, n and the cycle included,
+    # must number at most cap (see classify's docstring): the least cap
+    # that succeeds is their count, and one less gives up. A fixed point
+    # n repeats at once, so it passes any cap, and its least cap is 0.
     for n, e, least in ((2020, 2, 6), (123456, 6, 10), (3401, 5, 2), (5, 2, 0)):
         report = classify(n, e, cap=least)
         assert report == classify(n, e)

@@ -1,6 +1,9 @@
 import math
 import random
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,3 +199,118 @@ def test_rep_validates_on_construction():
         FactoradicRep((1, 3))
     with pytest.raises(MalformedRepresentationError):
         FactoradicRep((1, 2, 0))
+
+
+# parse and format read and print through a table of digit texts for
+# strings of up to 4,096 digits, and without one past that; these hold
+# both sides of that edge to the definition of the text form.
+
+def _read_by_definition(text):
+    """Digits of text, read token by token; errors worded as parse words them."""
+    if not text.endswith("!"):
+        raise MalformedRepresentationError(
+            f"missing '!' terminator after {text[-40:]!r}")
+    if text == "0!":
+        return ()
+    tokens = text[:-1].split(".")
+    for pos, tok in zip(range(len(tokens), 0, -1), tokens):
+        if (not all("0" <= c <= "9" for c in tok) or not tok
+                or (len(tok) > 1 and tok[0] == "0")
+                or len(tok) > len(str(pos))):
+            raise MalformedRepresentationError(
+                f"bad digit token {tok[:40]!r} at position {pos}")
+    if tokens[0] == "0":
+        raise MalformedRepresentationError(
+            f"leading zero digit at position {len(tokens)}")
+    digits = tuple(int(tok) for tok in reversed(tokens))
+    for i, a in enumerate(digits, start=1):
+        if a > i:
+            raise MalformedRepresentationError(
+                f"digit {a} at position {i} outside [0, {i}]")
+    return digits
+
+
+def _text_by_definition(digits):
+    return ".".join(str(a) for a in reversed(digits)) + "!" if digits else "0!"
+
+
+def _random_digits(rng, k):
+    return tuple(rng.randint(0, i) for i in range(1, k)) + (rng.randint(1, k),)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except MalformedRepresentationError as exc:
+        return str(exc)
+
+
+TABLE_EDGE_COUNTS = sorted({1} | {2 ** b + d for b in range(1, 14) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("k", TABLE_EDGE_COUNTS)
+def test_parse_and_format_match_the_definition(k):
+    rng = random.Random(k)
+    for digits in (_random_digits(rng, k), tuple(range(1, k + 1))):
+        text = factoradic.format(FactoradicRep(digits))
+        assert text == _text_by_definition(digits)
+        assert parse(text).digits == _read_by_definition(text) == digits
+
+
+MUTATIONS = {
+    "leading zero": lambda tok, pos: "0" + tok,
+    "one over its position": lambda tok, pos: str(pos + 1),
+    "plus sign": lambda tok, pos: "+1",
+    "space": lambda tok, pos: " 1",
+    "underscore": lambda tok, pos: "1_0",
+    "non-ASCII digit": lambda tok, pos: "\u0663",  # ARABIC-INDIC DIGIT THREE
+    "empty": lambda tok, pos: "",
+    "over-long": lambda tok, pos: "9" * (len(str(pos)) + 1),
+    "zero": lambda tok, pos: "0",
+}
+
+
+@pytest.mark.parametrize("k, positions", [
+    (12, range(1, 13)),
+    (4096, (4096, 4095, 1000, 10, 1)),
+    (4100, (4100, 4097, 4096, 2000, 10, 1)),
+], ids=["12 digits", "4,096 digits", "4,100 digits"])
+def test_parse_words_each_mutated_token_as_the_definition(k, positions):
+    rng = random.Random(k)
+    tokens = _text_by_definition(_random_digits(rng, k))[:-1].split(".")
+    for pos in positions:
+        for name, mutate in MUTATIONS.items():
+            mutated = tokens.copy()
+            mutated[k - pos] = mutate(tokens[k - pos], pos)
+            text = ".".join(mutated) + "!"
+            expected = _outcome(_read_by_definition, text)
+            assert _outcome(lambda t: parse(t).digits, text) == expected, (name, pos)
+            if pos == k and name == "zero":
+                assert expected == f"leading zero digit at position {k}"
+
+
+def test_digit_table_first_use_from_threads():
+    # More threads than cores all meet the table's first use at once,
+    # with a short switch interval; each must read and print its own
+    # string exactly.
+    rng = random.Random(9)
+    reps = [FactoradicRep(_random_digits(rng, k))
+            for k in (1, 2, 7, 300, 4095, 4096, 4097, 6000)] * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            factoradic._digit_texts.cache_clear()
+            barrier = threading.Barrier(len(reps))
+
+            def round_trip(rep):
+                barrier.wait(timeout=30)
+                text = factoradic.format(rep)
+                return text, parse(text)
+
+            with ThreadPoolExecutor(max_workers=len(reps)) as pool:
+                results = list(pool.map(round_trip, reps, timeout=60))
+            for rep, (text, back) in zip(reps, results):
+                assert text == _text_by_definition(rep.digits) and back == rep
+    finally:
+        sys.setswitchinterval(interval)

@@ -3,10 +3,11 @@
 The corpus in golden/density.json holds text, csv and json `density`
 output for e = 1..8 at several uppers, and the refusal of the least
 k! - 1 over the work limit for each e. The corpus in golden/cli.json
-holds every command line of the README, one call that exits 1 and two
-that exit 2, then the cli-workload calls of perfbench seed 1; stdout
-longer than _HASHED characters is kept as its sha256. A change that alters output on purpose rewrites the corpora and
-names the entries it changed. To rewrite them:
+holds every command line of the README, three calls that exit 1 (two
+of them malformed digit text) and two that exit 2, then the
+cli-workload calls of perfbench seed 1; stdout longer than _HASHED
+characters is kept as its sha256. A change that alters output on
+purpose rewrites the corpora and names the entries it changed. To rewrite them:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -37,9 +38,11 @@ README = Path(__file__).parents[1] / "README.md"
 _REFUSED_K = {1: 105, 2: 48, 3: 28, 4: 19, 5: 15, 6: 14, 7: 14, 8: 14}
 _HASHED = 500
 # An atlas over the work limit (exit 1), an orbit cap reached and a
-# failed witness (exit 2).
+# failed witness (exit 2), a digit over its position and a token with a
+# leading zero (exit 1).
 _FAILING = [("attractors", "--e", "9"), ("orbit", "2021", "--e", "2", "--cap", "2"),
-            ("nice", "--e", "2", "--p", "1", "--l", "0")]
+            ("nice", "--e", "2", "--p", "1", "--l", "0"),
+            ("convert", "--digits", "1.2.3!"), ("convert", "--digits", "3.05.1.0!")]
 # The 39 calls of perfbench's cli workload at seed 1, in its order; each
 # exits 0.
 _WORKLOAD = [tuple(line.split()) for line in """\
@@ -143,7 +146,7 @@ def test_cli_corpus_covers_the_readme():
     readme = len(corpus) - len(_FAILING) - len(_WORKLOAD)
     assert readme > 0
     codes = [entry["code"] for entry in corpus]
-    assert codes[readme:readme + len(_FAILING)] == [1, 2, 2]
+    assert codes[readme:readme + len(_FAILING)] == [1, 2, 2, 1, 1]
     assert set(codes[:readme] + codes[readme + len(_FAILING):]) == {0}
 
 

@@ -144,6 +144,45 @@ def test_nice_check_rejects_negative_offset(atlas):
     assert nice_check(3, 1, 2, atlas(3)).offset == 2
 
 
+def _refused(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+# A float or a bool that compares equal to an int is refused by name,
+# never carried into a witness or a certificate.
+def test_nice_check_refuses_a_float_p(atlas):
+    assert _refused(lambda: nice_check(2, 1.0, 20, atlas(2))) == (
+        ValueError, "p must be an int, got 1.0")
+
+
+def test_nice_check_refuses_a_float_offset(atlas):
+    assert _refused(lambda: nice_check(2, 1, 20.0, atlas(2))) == (
+        ValueError, "offset must be an int, got 20.0")
+
+
+def test_build_sequence_refuses_a_bool_m(atlas):
+    witness = nice_check(2, 1, 20, atlas(2))
+    assert _refused(lambda: build_sequence(2, 1, True, witness, atlas(2))) == (
+        ValueError, "m must be an int, got True")
+
+
+def test_preimage_ones_refuses_a_float_length():
+    assert _refused(lambda: preimage_ones(3.0)) == (
+        ValueError, "x must be an int, got 3.0")
+
+
+def test_towers_refuse_a_float_e_or_p(atlas):
+    witness = nice_check(2, 1, 20, atlas(2))
+    assert _refused(lambda: nice_check(2.0, 1, 20, atlas(2))) == (
+        ValueError, "e must be an int, got 2.0")
+    assert _refused(lambda: build_sequence(2.0, 1, 3, witness, atlas(2))) == (
+        ValueError, "e must be an int, got 2.0")
+    assert _refused(lambda: build_sequence(2, 1.0, 3, witness, atlas(2))) == (
+        ValueError, "p must be an int, got 1.0")
+
+
 def test_build_sequence_depth_two(atlas):
     witness = nice_check(2, 1, 20, atlas(2))
     cert = build_sequence(2, 1, 3, witness, atlas(2))
