@@ -259,18 +259,14 @@ def parse(text: str) -> FactoradicRep:
         return ZERO
     tokens = body.split(".")
     k = len(tokens)
-    # A token that is not the exact text of a digit misses the table; past
-    # it, a bulk pass lets int() read only ASCII digits with no leading 0.
-    values = _digit_texts()[1]
-    read = (int if k >= len(values) and body.isascii()
-            and body.replace(".", "").isdigit() and max(map(len, tokens)) <= len(str(k))
-            and ("." + body).count(".0") == tokens.count("0") else values.__getitem__)
+    # A token that is not the exact text of a digit, or is past the table,
+    # misses it; the loop below then names the first fault of the text.
     try:
-        digits = tuple(map(read, reversed(tokens)))
+        digits = tuple(map(_digit_texts()[1].__getitem__, reversed(tokens)))
         if digits[-1] and all(map(le, digits, range(1, k + 1))):
             return _trusted(digits)
-    except (KeyError, ValueError):
-        pass  # the loop below names the first fault of the text
+    except KeyError:
+        pass
     for pos, tok in zip(range(k, 0, -1), tokens):
         if (not (tok.isascii() and tok.isdigit())
                 or (len(tok) > 1 and tok[0] == "0")
