@@ -85,7 +85,7 @@ def iterate(n: int, e: int, count: int) -> int:
 
 
 def _check_exponent(e: int) -> None:
-    if not isinstance(e, int) or e < 1:
+    if type(e) is not int or e < 1:
         raise ValueError(f"exponent must be a positive integer, got {e}")
     if e > EXPONENT_LIMIT:
         raise ValueError(
@@ -208,6 +208,7 @@ def descent_bound(e: int) -> DescentBound:
 
 def step_image_bound(e: int, upper: int) -> int:
     """Upper bound for one step applied to any n <= upper."""
+    _check_exponent(e)
     return sum(i ** e for i in range(1, digit_count(upper) + 1))
 
 

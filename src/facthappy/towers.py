@@ -52,6 +52,7 @@ def additivity_check(x: int, y: int, t: int, e: int) -> bool:
     the identity can fail, which is exactly what makes the negative
     cases informative.
     """
+    _need_ints(x=x, y=y, t=t, e=e)
     if x < 1 or y < 0 or t < 0:
         raise ValueError(f"need x >= 1, y >= 0, t >= 0, got {(x, y, t)}")
     padded = to_natural(shift(to_factoradic(x), t)) + y
@@ -248,29 +249,25 @@ def _check_run_length(m: int) -> None:
 
 
 def _level_width_log10(chain: ChainNumber) -> int:
-    """log10 of a lower bound on the expanded digit count, rounded.
+    """An integer L with 10^L at most the expanded digit count.
 
-    Tracks the digit count level by level from the top; each step down,
-    the next digit count is pad + value(current level), and the value
-    of a level with w digits is at least (w)!. Once a level passes
-    10^18 digits the walk stops, so deep towers report the first
-    astronomical level rather than the (even larger) final one. A width
-    w of d digits past about 10^305, where lgamma overflows, reports the
-    integer w * (d - 1) - ceil(0.4343 * w), as w! >= (w / e) ** w.
+    Walks the digit count from the top level down: the next one is pad +
+    value(current level), and a level of width w has value at least w!.
+    While w < 20 (19! < 10^18 < 20!) the walk is exact and ends with
+    floor(log10 width). At the first w >= 20 it stops, so deep towers
+    bound the first astronomical level, not the (even larger) final one,
+    by Robbins's log10(w!) > log10(sqrt(2 pi w)) + w * log10(w / e) >=
+    1 + w * (lg / 1024 * 0.301029995 - 0.434294482), lg / 1024 <= log2(w).
     """
     width = chain.shift + chain.base
     for _ in range(chain.depth - 1):
-        try:
-            log_value = math.lgamma(width + 1) / math.log(10)
-        except OverflowError:
-            digits = _decimal_digits(width)
-            return width * (digits - 1) - (4343 * width + 9999) // 10000
-        if log_value > 18:
-            return round(log_value)
-        ones_len = width - chain.shift
+        if width >= 20:
+            low = max(width.bit_length() - 64, 0)  # w's top 64 bits
+            lg = 1024 * low + ((width >> low) ** 1024).bit_length() - 1
+            return 1 + width * (lg * 301029995 - 1024 * 434294482) // 1024 // 10 ** 9
         width = chain.shift + sum(
-            math.factorial(chain.shift + i) for i in range(1, ones_len + 1))
-    return round(math.log10(max(width, 1)))
+            math.factorial(k) for k in range(chain.shift + 1, width + 1))
+    return _decimal_digits(width) - 1
 
 
 def _decimal(n: int) -> str:

@@ -1,3 +1,4 @@
+import decimal
 from collections.abc import Iterator
 from fractions import Fraction
 from types import SimpleNamespace
@@ -54,6 +55,25 @@ def loop_natural(digits):
         fact *= i
         total += a * fact
     return total
+
+
+def robbins_log10(w):
+    """Decimal bounds (lower, upper) on log10(w!), for w >= 1.
+
+    Robbins (Amer. Math. Monthly 62, 1955): w! lies strictly between
+    sqrt(2 pi w) (w/e)^w times exp(1/(12w + 1)) and times exp(1/(12w)).
+    The digits carried put the rounding error far below the 10^-20
+    each bound is widened by.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = len(str(w)) + 40
+        w = decimal.Decimal(w)
+        two_pi = decimal.Decimal("6.28318530717958647692528676655900576839")
+        log10_e = decimal.Decimal(1).exp().log10()
+        stirling = (two_pi * w).log10() / 2 + w * (w.log10() - log10_e)
+        margin = decimal.Decimal(10) ** -20
+        return (stirling + log10_e / (12 * w + 1) - margin,
+                stirling + log10_e / (12 * w) + margin)
 
 
 def loop_add(digits, y):

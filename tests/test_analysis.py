@@ -117,6 +117,11 @@ def test_smallest_runs_validates(atlas):
         assert not search.complete
 
 
+def test_smallest_runs_refuses_an_atlas_of_another_exponent(atlas):
+    with pytest.raises(ValueError, match="^atlas is for exponent 3, not 2$"):
+        smallest_runs(2, 1, 3, atlas(3))
+
+
 @settings(deadline=None)
 @given(data=st.data(), e=st.integers(1, 6), floor=st.sampled_from((1, 2)),
        m_max=st.integers(1, 50))

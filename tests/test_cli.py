@@ -182,8 +182,9 @@ def test_build_unknown_pair_needs_offset(capsys):
 
 def test_build_with_an_offset_past_the_float_range(capsys):
     # A 310-digit nice offset for (5, 34): the top level's width w = pad +
-    # offset is past lgamma's range, so the depth-2 size note bounds
-    # log10(w!) by the integer w * 309 - ceil(0.4343 * w).
+    # offset is past the float range. The note's exponent lies below
+    # Robbins's lower bound on log10(w!), within w / 1000 of his upper one.
+    from conftest import robbins_log10
     from facthappy.towers import nice_check
     atlas = dynamics.enumerate_attractors(5)
     rng = random.Random(1)
@@ -197,10 +198,28 @@ def test_build_with_an_offset_past_the_float_range(capsys):
     code, out, err = run_cli(capsys, "build", "--e", "5", "--p", "34",
                              "--m", "3", "--l", str(offset))
     assert (code, err) == (0, "")
-    w = offset + 2
-    assert (f"size: ones-block tower: depth 2, pad 2, top value {offset}; "
-            f"at least 10^{w * 309 - (4343 * w + 9999) // 10000} digits "
-            "when expanded\n") in out
+    exponent = int(re.search(
+        f"\nsize: ones-block tower: depth 2, pad 2, top value {offset}; "
+        "at least 10\\^(\\d+) digits when expanded\n", out).group(1))
+    lower, upper = robbins_log10(offset + 2)
+    assert upper - (offset + 2) // 1000 < exponent < lower
+
+
+def test_convert_refuses_a_negative_n(capsys):
+    assert run_cli(capsys, "convert", "-5") == (
+        1, "", "error: n must be nonnegative\n")
+
+
+def test_bound_exits_2_when_a_check_fails(capsys, monkeypatch):
+    # Every e in 1..EXPONENT_LIMIT passes descent_bound's checks, so the
+    # failing bound is a stand-in.
+    failed = dynamics.DescentBound(e=2, j=3, bound=23, tail_offset=0,
+                                   certificate_ok=False,
+                                   failed_checks=("base_case", "dominance"))
+    monkeypatch.setattr(dynamics, "descent_bound", lambda e: failed)
+    assert run_cli(capsys, "bound", "--e", "2") == (
+        2, "e: 2\nj: 3\nbound: 23\ntail_offset: 0\n"
+        "certificate: FAILED (base_case, dominance)\n", "")
 
 
 def test_runs_csv(capsys):

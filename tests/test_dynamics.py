@@ -155,16 +155,27 @@ def test_exponent_limit():
 
 
 def test_non_integer_exponent_is_refused():
+    # True == 1 and 2.0 == 2, but only an int exponent is an exponent.
     calls = (smallest_j, descent_bound, enumerate_attractors,
              lambda e: classify(5, e), lambda e: happy_step_nat(10 ** 300, e),
              lambda e: happy_step_nat(5, e), lambda e: iterate(5, e, 2),
              lambda e: happy_step(to_factoradic(5), e),
-             lambda e: step_sum_tally(e, 2021))
+             lambda e: step_sum_tally(e, 2021), lambda e: step_image_bound(e, 10))
     for call in calls:
-        for e in (2.5, 2.0, 1.0, Fraction(2), "2"):
+        for e in (2.5, 2.0, 1.0, Fraction(2), "2", True, False, 0):
             with pytest.raises(ValueError, match=re.escape(
                     f"exponent must be a positive integer, got {e}") + "$"):
                 call(e)
+
+
+def test_negative_step_input_and_count_are_refused():
+    with pytest.raises(ValueError,
+                       match="^expected a nonnegative integer, got -1$"):
+        happy_step_nat(-1, 2)
+    with pytest.raises(ValueError,
+                       match="^iteration count must be nonnegative, got -1$"):
+        iterate(5, 2, -1)
+
 
 def test_happy_step_nat_matches_loop_at_block_and_table_edges():
     block = math.factorial(7)

@@ -8,12 +8,14 @@ import time
 
 import pytest
 
+from conftest import robbins_log10
 from facthappy.cli import BUILTIN_OFFSETS
 from facthappy.dynamics import classify, happy_step, happy_step_nat, iterate
 from facthappy.factoradic import add, digit_count, to_factoradic, to_natural
 from facthappy.towers import (
     RUN_LENGTH_LIMIT,
     ChainNumber,
+    NiceWitness,
     ReplayError,
     SequenceCertificate,
     SizeCapError,
@@ -181,6 +183,56 @@ def test_towers_refuse_a_float_e_or_p(atlas):
         ValueError, "e must be an int, got 2.0")
     assert _refused(lambda: build_sequence(2, 1.0, 3, witness, atlas(2))) == (
         ValueError, "p must be an int, got 1.0")
+
+
+def test_additivity_check_refuses_a_float_y():
+    assert _refused(lambda: additivity_check(2, 1.5, 3, 2)) == (
+        ValueError, "y must be an int, got 1.5")
+
+
+def test_additivity_check_refuses_a_float_t():
+    assert _refused(lambda: additivity_check(2, 1, 3.0, 2)) == (
+        ValueError, "t must be an int, got 3.0")
+
+
+def test_additivity_check_refuses_values_out_of_range():
+    for args in ((0, 1, 3), (2, -1, 3), (2, 1, -3)):
+        assert _refused(lambda: additivity_check(*args, 2)) == (
+            ValueError, f"need x >= 1, y >= 0, t >= 0, got {args}")
+
+
+def test_towers_refuse_an_atlas_of_another_exponent(atlas):
+    witness = nice_check(2, 1, 20, atlas(2))
+    assert _refused(lambda: nice_check(2, 1, 20, atlas(3))) == (
+        ValueError, "atlas is for exponent 3, not 2")
+    assert _refused(lambda: build_sequence(2, 1, 3, witness, atlas(3))) == (
+        ValueError, "atlas is for exponent 3, not 2")
+
+
+def test_build_sequence_refuses_offset_zero_for_a_chain(atlas):
+    # At e = 1 the index 2 = 1.0! steps to 1, so r = 1 and the chain needs
+    # an all-ones block of length offset = 0.
+    witness = nice_check(1, 1, 0, atlas(1))
+    with pytest.raises(WitnessError, match="^offset 0 cannot seed a chain: "
+                       "the all-ones preimage needs a positive length$"):
+        build_sequence(1, 1, 2, witness, atlas(1))
+
+
+def test_build_sequence_refuses_a_witness_without_a_reached_member(atlas):
+    witness = NiceWitness(e=2, p=1, offset=20, q_by_member={4: 1, 5: 2})
+    with pytest.raises(WitnessError, match="^value 1 reached from 1 is not "
+                       "covered by the witness$"):
+        build_sequence(2, 1, 3, witness, atlas(2))
+
+
+def test_verify_concrete_names_a_depth_one_step_that_differs(atlas):
+    # With no pad the index's carry reaches the ones block, so the digit
+    # string steps to 22 where the rewrite of the chain predicts 20 + 1.
+    cert = build_sequence(2, 1, 2, nice_check(2, 1, 20, atlas(2)), atlas(2))
+    assert (cert.r, cert.t) == (1, 2)
+    with pytest.raises(ReplayError, match="^index 1: digit-string step gave "
+                       "22, symbolic replay predicts 21$"):
+        verify_concrete(dataclasses.replace(cert, t=0))
 
 
 def test_build_sequence_depth_two(atlas):
@@ -393,18 +445,21 @@ def test_materialize_refuses_by_exact_factorial_bound():
                 refused = str(exc)
             if t + w <= size_cap:
                 assert ("would need about" in refused) == exact
+    # Each exponent is at most log10 of the expanded digit count: 21.07,
+    # where Robbins's bound on 22! gives 20, then 4.66, 4.66 and 5.61,
+    # walked exactly as pad + top < 20.
     pinned = {
-        (20, 2, 10 ** 6): "level 0 would need about 10^21 digits, above the "
+        (20, 2, 10 ** 6): "level 0 would need about 10^20 digits, above the "
         "cap of 1000000 (ones-block tower: depth 2, pad 2, top value 20; at "
-        "least 10^21 digits when expanded)",
-        (5, 3, 100): "level 0 would need about 10^5 digits, above the cap of "
-        "100 (ones-block tower: depth 2, pad 3, top value 5; at least 10^5 "
+        "least 10^20 digits when expanded)",
+        (5, 3, 100): "level 0 would need about 10^4 digits, above the cap of "
+        "100 (ones-block tower: depth 2, pad 3, top value 5; at least 10^4 "
         "digits when expanded)",
-        (4, 4, 999): "level 0 would need about 10^5 digits, above the cap of "
-        "999 (ones-block tower: depth 2, pad 4, top value 4; at least 10^5 "
+        (4, 4, 999): "level 0 would need about 10^4 digits, above the cap of "
+        "999 (ones-block tower: depth 2, pad 4, top value 4; at least 10^4 "
         "digits when expanded)",
         (9, 0, 10 ** 5): "level 0 needs 409113 digits, above the cap of "
-        "100000 (ones-block tower: depth 2, pad 0, top value 9; at least 10^6 "
+        "100000 (ones-block tower: depth 2, pad 0, top value 9; at least 10^5 "
         "digits when expanded)",
     }
     for (base, t, size_cap), text in pinned.items():
@@ -434,18 +489,28 @@ def test_materialize_decides_caps_past_the_int_str_limit(atlas):
     verify_concrete(cert, size_cap=huge)
 
 
+def _note_exponent(chain):
+    note = _size_note(chain)
+    return int(re.fullmatch(
+        r".*; at least 10\^(\d+) digits when expanded", note).group(1))
+
+
 def test_size_notes_past_the_float_and_int_str_limits():
-    # A level width w past about 10^305 overflows lgamma: the note bounds
-    # log10(w!) by the integer w * (d - 1) - ceil(0.4343 * w), d the
-    # decimal digits of w. A base, pad or exponent past 4,300 decimal
-    # digits is written by its length.
+    # A level width w past the float range is bounded like any other:
+    # the note's exponent lies below Robbins's lower bound on log10(w!),
+    # within w / 1000 of it (log2 w is read to 1/1024 from the top 64
+    # bits of w). A base, pad or exponent past 4,300 decimal digits is
+    # written by its length.
     big = 10 ** 400
     with pytest.raises(SizeCapError) as caught:
         materialize(ChainNumber(big, 0, 2), 10 ** 6)
+    exponent = 3995654848409443359375 * 10 ** 381 + 1
     assert str(caught.value) == (
         f"level 1 needs {big} digits, above the cap of 1000000 (ones-block "
         f"tower: depth 2, pad 0, top value {big}; at least "
-        f"10^{3995657 * 10 ** 396} digits when expanded)")
+        f"10^{exponent} digits when expanded)")
+    lower, upper = robbins_log10(big)
+    assert upper - big // 1000 < exponent < lower
     assert _size_note(ChainNumber(10 ** 5000, 0, 0)) == (
         "concrete value <5,001-digit integer>")
     with pytest.raises(SizeCapError) as caught:
@@ -456,19 +521,57 @@ def test_size_notes_past_the_float_and_int_str_limits():
         "at least 10^<5,004-digit integer> digits when expanded)")
 
 
-def test_size_note_exponent_grows_across_the_lgamma_overflow():
-    # 2 * 10^305 is inside lgamma's range and 3 * 10^305 past it; past it
-    # the note's exponent is an exact integer lower bound on log10(w!),
-    # so it never falls as w grows and never tops w * log10(w).
+def test_size_note_exponent_grows_with_the_width():
+    # The exponent is an integer lower bound on log10(w!) at every width,
+    # float range or not, so it never falls as w grows and never tops
+    # w * log10(w).
     with decimal.localcontext() as ctx:
         ctx.prec = 450
         last = 0
-        for w in (2 * 10 ** 305, 3 * 10 ** 305, 10 ** 306, 10 ** 400):
-            note = _size_note(ChainNumber(w, 0, 2))
-            exponent = int(re.fullmatch(
-                r".*; at least 10\^(\d+) digits when expanded", note).group(1))
+        for w in (20, 10 ** 6, 2 * 10 ** 305, 3 * 10 ** 305, 10 ** 306,
+                  10 ** 400):
+            exponent = _note_exponent(ChainNumber(w, 0, 2))
             assert last <= exponent <= w * decimal.Decimal(w).log10()
             last = exponent
+
+
+def test_size_note_is_a_tight_floor_of_log10_w_factorial():
+    # At the first level of width w >= 20 the note takes an integer L
+    # with 10^L <= w!, and it is at most 2 below floor(log10(w!)).
+    for w in range(20, 3001):
+        exponent = _note_exponent(ChainNumber(w, 0, 2))
+        assert 10 ** exponent <= math.factorial(w) < 10 ** (exponent + 3), w
+
+
+def _expanded_digits(base, t, r, limit):
+    """Digit count of ChainNumber(base, t, r) expanded, level by level.
+
+    None if some level above the last is over limit digits wide.
+    """
+    width = t + base
+    for _ in range(r - 1):
+        if width > limit:
+            return None
+        fact, value = math.factorial(t), 0
+        for k in range(t + 1, width + 1):
+            fact *= k
+            value += fact
+        width = t + value
+    return width
+
+
+def test_size_note_never_tops_the_expanded_digit_count():
+    # Every depth-2 and depth-3 chain with pad < 8 and top value < 40
+    # whose levels can be summed: 10^L is at most the true digit count.
+    checked = 0
+    for r in (2, 3):
+        for t in range(8):
+            for base in range(1, 40):
+                digits = _expanded_digits(base, t, r, 3000)
+                if digits is not None:
+                    checked += 1
+                    assert 10 ** _note_exponent(ChainNumber(base, t, r)) <= digits
+    assert checked == 333
 
 
 def test_chain_level_rewrite_holds_concretely():
