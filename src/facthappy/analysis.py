@@ -17,7 +17,7 @@ from math import comb
 from .dynamics import (
     _LOW, Attractor, AttractorAtlas, _high_sum, _low_sums, _packed_tally,
     classify, happy_step_nat, step_image_bound, step_sum_tally)
-from .factoradic import digit_count
+from .factoradic import _need_ints, digit_count
 
 # Largest search_cap smallest_runs accepts: its table holds one entry
 # per value up to the cap or, if smaller, the cap's step image bound.
@@ -66,6 +66,7 @@ class DensityReport:
 
 def is_p_happy(n: int, e: int, p: int, atlas: AttractorAtlas | None = None) -> bool:
     """Does the orbit of n settle on the fixed point p?"""
+    _need_ints(p=p)
     if p < 1:
         raise ValueError(f"fixed point must be a positive integer, got {p}")
     if happy_step_nat(p, e) != p:
@@ -89,6 +90,7 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     ValueError before the table is built. Unresolved lengths are
     reported by a RunSearch with complete=False rather than an error.
     """
+    _need_ints(p=p, m_max=m_max, search_floor=search_floor)
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if search_floor not in (1, 2):

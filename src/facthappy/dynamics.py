@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import factorial
 
-from .factoradic import FactoradicRep, _split_digits, digit_count
+from .factoradic import FactoradicRep, _need_ints, _split_digits, digit_count
 
 DEFAULT_ORBIT_CAP = 10_000
 # Most dictionary updates a step-sum tally may need, packed or not: it admits
@@ -76,6 +76,7 @@ def happy_step_nat(n: int, e: int) -> int:
 
 def iterate(n: int, e: int, count: int) -> int:
     """count-fold composition of the step map; count = 0 returns n unchanged."""
+    _need_ints(n=n, count=count)
     if count < 0:
         raise ValueError(f"iteration count must be nonnegative, got {count}")
     _check_exponent(e)
@@ -503,6 +504,7 @@ def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,
     attractor; trace records the values from n through its entry point.
     Exponents above EXPONENT_LIMIT and a negative cap raise ValueError.
     """
+    _need_ints(n=n, cap=cap)
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     if cap < 0:

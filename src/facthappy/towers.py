@@ -145,6 +145,8 @@ class SequenceCertificate:
     steps_by_index: dict[int, int]
 
     def __post_init__(self) -> None:
+        _need_ints(e=self.e, p=self.p, m=self.m, t=self.t, r=self.r,
+                   offset=self.offset)
         for i in range(1, self.m + 1):
             if i not in self.steps_by_index:
                 raise ValueError(f"steps_by_index has no index {i}")
@@ -186,6 +188,7 @@ def replay_run(cert: SequenceCertificate, i: int) -> int:
     iteration finishes the job. A violated side condition, or a total
     other than steps_by_index[i], raises ReplayError naming i.
     """
+    _need_ints(i=i)
     if not 1 <= i <= cert.m:
         raise ValueError(f"index {i} outside [1, {cert.m}]")
     y = i
@@ -291,37 +294,32 @@ def _size_note(chain: ChainNumber) -> str:
 def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
     """Expand a chain to an explicit digit string if it fits under size_cap.
 
-    The feasibility check walks the levels exactly: the digit count of
-    each level is the pad plus the value of the level above, so for
-    typical offsets a depth-2 chain already needs more digits than any
-    practical cap, while degenerate chains with tiny tops stay small.
-    Failures carry the symbolic size estimate.
+    Walks the levels from the top, each the pad plus the value of the
+    level above digits wide: a depth-2 chain with a typical offset
+    already tops any practical cap, while tiny tops stay small. A level
+    of width w is summed only while pad + w <= digit_count(10^(d + 1)),
+    d the cap's decimal digit count. A refusal bounds the digits of the
+    level it refuses as the size note does, and carries the note.
     """
+    _need_ints(size_cap=size_cap)
     if chain.depth == 0:
         return to_factoradic(chain.base)
-    width = chain.base
-    for level in range(chain.depth):
-        # A level of width w and pad t expands to t + w digits.
-        if chain.shift + width > size_cap:
+    t, width = chain.shift, chain.base
+    most = chain.depth > 1 and digit_count(10 ** (_decimal_digits(size_cap) + 1))
+    for level in range(chain.depth - 1, -1, -1):
+        if t + width > size_cap:
             raise SizeCapError(
-                f"level {chain.depth - 1 - level} needs "
-                f"{_decimal(chain.shift + width)} digits, above the cap of "
-                f"{_decimal(size_cap)} ({_size_note(chain)})")
-        if level == chain.depth - 1:
-            return shift(preimage_ones(width), chain.shift)
-        # Next level's width is this level's value, over (shift + width)!:
-        # refuse once an exact running product of that factorial passes limit.
-        product, k, limit = 1, 1, 10 ** (_decimal_digits(size_cap) + 1)
-        while product <= limit and k < chain.shift + width:
-            k += 1
-            product *= k
-        if product > limit:
+                f"level {level} needs {_decimal(t + width)} digits, above the "
+                f"cap of {_decimal(size_cap)} ({_size_note(chain)})")
+        if level == 0:
+            return shift(preimage_ones(width), t)
+        if t + width > most:
             raise SizeCapError(
-                f"level {chain.depth - 2 - level} would need about "
-                f"10^{_decimal(_level_width_log10(chain))} digits, above the cap of "
-                f"{_decimal(size_cap)} ({_size_note(chain)})")
-        width = sum(math.factorial(chain.shift + i) for i in range(1, width + 1))
-    raise AssertionError("unreachable")
+                f"level {level - 1} would need about 10^"
+                f"{_decimal(_level_width_log10(ChainNumber(width, t, 2)))} "
+                f"digits, above the cap of {_decimal(size_cap)} "
+                f"({_size_note(chain)})")
+        width = sum(math.factorial(t + i) for i in range(1, width + 1))
 
 
 def verify_concrete(cert: SequenceCertificate, *, size_cap: int = 10 ** 6) -> None:

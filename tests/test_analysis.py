@@ -439,6 +439,24 @@ def test_density_refuses_a_non_integer_exponent(atlas):
                 density(bad, upper, atlas(e))
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda atlas: is_p_happy(5, 2, 5.0), "p must be an int, got 5.0"),
+    (lambda atlas: smallest_runs(2, 5.0, 3, atlas(2)),
+     "p must be an int, got 5.0"),
+    (lambda atlas: smallest_runs(2, 1, 3.5, atlas(2)),
+     "m_max must be an int, got 3.5"),
+    (lambda atlas: smallest_runs(2, 1, 3, atlas(2), search_floor=1.0),
+     "search_floor must be an int, got 1.0"),
+], ids=["is_p_happy p", "smallest_runs p", "smallest_runs m_max",
+        "smallest_runs search_floor"])
+def test_non_int_fixed_point_and_run_bounds_are_refused(call, text, atlas):
+    # Unchecked, a float p would be written into the run JSON as 5.0 and
+    # m_max = 3.5 would answer up to m = 4; each is refused by name.
+    with pytest.raises(ValueError) as info:
+        call(atlas)
+    assert type(info.value) is ValueError and str(info.value) == text
+
+
 def test_emit_density_csv_golden(atlas):
     report = density(2, 5, atlas(2))
     assert emit_report(report, "csv") == (

@@ -168,6 +168,38 @@ def test_non_integer_exponent_is_refused():
                 call(e)
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda: classify(True, 2), "n must be an int, got True"),
+    (lambda: classify(2.5, 2), "n must be an int, got 2.5"),
+    (lambda: classify(5, 2, cap=2.5), "cap must be an int, got 2.5"),
+    (lambda: iterate(5.0, 2, 2), "n must be an int, got 5.0"),
+    (lambda: iterate(5, 2, Fraction(2)),
+     "count must be an int, got Fraction(2, 1)"),
+], ids=["classify bool n", "classify float n", "classify cap", "iterate n",
+        "iterate count"])
+def test_non_int_start_cap_and_count_are_refused(call, text):
+    # Unchecked, True would be classified as the attractor "True", a
+    # float n would break on its first step and a float cap would count.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == text
+
+
+def test_descent_bound_reports_each_failed_check(monkeypatch):
+    # Every e in 1..200 passes its checks; j = 1 at e = 5 fails all three:
+    # 1! = 1^4, 2^4 > 1^4 * 2 and 2! - 2^4 + 0 < 0.
+    real = dynamics.smallest_j
+    monkeypatch.setattr(dynamics, "smallest_j",
+                        lambda e: 1 if e == 5 else real(e))
+    bound = descent_bound(5)
+    assert bound.failed_checks == ("base_case", "induction_step", "dominance")
+    assert bound.certificate_ok is False
+    with pytest.raises(CertificationError, match=re.escape(
+            "exponent 5: certificate checks failed: base_case, "
+            "induction_step, dominance") + "$"):
+        enumerate_attractors(5)
+
+
 def test_negative_step_input_and_count_are_refused():
     with pytest.raises(ValueError,
                        match="^expected a nonnegative integer, got -1$"):

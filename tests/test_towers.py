@@ -5,10 +5,12 @@ import math
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
 from conftest import robbins_log10
+from facthappy import towers
 from facthappy.cli import BUILTIN_OFFSETS
 from facthappy.dynamics import classify, happy_step, happy_step_nat, iterate
 from facthappy.factoradic import add, digit_count, to_factoradic, to_natural
@@ -193,6 +195,33 @@ def test_additivity_check_refuses_a_float_y():
 def test_additivity_check_refuses_a_float_t():
     assert _refused(lambda: additivity_check(2, 1, 3.0, 2)) == (
         ValueError, "t must be an int, got 3.0")
+
+
+def _certificate(atlas, **fields):
+    good = build_sequence(2, 1, 3, nice_check(2, 1, 20, atlas(2)), atlas(2))
+    return dataclasses.replace(good, **fields)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda atlas: replay_run(_certificate(atlas), 1.0),
+     "i must be an int, got 1.0"),
+    (lambda atlas: materialize(ChainNumber(3, 1, 1), 10.5),
+     "size_cap must be an int, got 10.5"),
+    (lambda atlas: _certificate(atlas, e=2.0), "e must be an int, got 2.0"),
+    (lambda atlas: _certificate(atlas, p=True), "p must be an int, got True"),
+    (lambda atlas: _certificate(atlas, m=3.0), "m must be an int, got 3.0"),
+    (lambda atlas: _certificate(atlas, t=2.5), "t must be an int, got 2.5"),
+    (lambda atlas: _certificate(atlas, r=Fraction(1)),
+     "r must be an int, got Fraction(1, 1)"),
+    (lambda atlas: _certificate(atlas, offset=20.0),
+     "offset must be an int, got 20.0"),
+], ids=["replay_run i", "materialize size_cap", "certificate e",
+        "certificate p", "certificate m", "certificate t", "certificate r",
+        "certificate offset"])
+def test_replay_materialize_and_certificate_refuse_non_ints(call, text, atlas):
+    # Unchecked, a float offset would break certificate_to_json, a float t
+    # would replay and a float cap would expand: each is refused by name.
+    assert _refused(lambda: call(atlas)) == (ValueError, text)
 
 
 def test_additivity_check_refuses_values_out_of_range():
@@ -572,6 +601,47 @@ def test_size_note_never_tops_the_expanded_digit_count():
                     checked += 1
                     assert 10 ** _note_exponent(ChainNumber(base, t, r)) <= digits
     assert checked == 333
+
+
+def test_refusal_exponent_bounds_the_level_it_refuses(monkeypatch):
+    # Every depth-2 and depth-3 chain with pad < 8 and top value < 40, at
+    # caps 10^0 to 10^9: a "level k would need about 10^L digits" refusal
+    # bounds level k itself, so 10^L is at most its digit count wherever
+    # that level can be summed. Accepted chains are not expanded.
+    monkeypatch.setattr(towers, "preimage_ones", lambda width: None)
+    monkeypatch.setattr(towers, "shift", lambda rep, t: None)
+    checked = 0
+    for r in (2, 3):
+        for t in range(8):
+            for base in range(1, 40):
+                for k in range(10):
+                    try:
+                        materialize(ChainNumber(base, t, r), 10 ** k)
+                        continue
+                    except SizeCapError as exc:
+                        refused = re.match(r"level (\d+) would need about "
+                                           r"10\^(\d+) digits", str(exc))
+                    if refused is None:
+                        continue
+                    level, exponent = map(int, refused.groups())
+                    digits = _expanded_digits(base, t, r - level, 3000)
+                    if digits is not None:
+                        checked += 1
+                        assert 10 ** exponent <= digits, (base, t, r, k)
+    assert checked == 4275
+    # Level 0 of ChainNumber(20, 2, 3) has W! digits or more, W = 2 +
+    # 3! + ... + 22! the width of level 1: its exponent lies below
+    # Robbins's lower bound on log10(W!), within W / 1000 of it.
+    width = 2 + sum(math.factorial(k) for k in range(3, 23))
+    with pytest.raises(SizeCapError) as caught:
+        materialize(ChainNumber(20, 2, 3), 10 ** 30)
+    exponent = 24302788316452078687533
+    assert str(caught.value) == (
+        f"level 0 would need about 10^{exponent} digits, above the cap of "
+        f"{10 ** 30} (ones-block tower: depth 3, pad 2, top value 20; at "
+        f"least 10^20 digits when expanded)")
+    lower, upper = robbins_log10(width)
+    assert upper - width // 1000 < exponent < lower
 
 
 def test_chain_level_rewrite_holds_concretely():
