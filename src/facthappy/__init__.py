@@ -5,18 +5,21 @@ from importlib import import_module as _import_module
 from .factoradic import (
     FactoradicRep, MalformedRepresentationError, add, digit_count, format,
     parse, shift, to_factoradic, to_natural)
-from .dynamics import (
-    Attractor, AttractorAtlas, CertificationError, DescentBound, OrbitCapError,
-    OrbitReport, ReplayError, SizeCapError, WitnessError, classify, descent_bound,
-    enumerate_attractors, happy_step, happy_step_nat, iterate, smallest_j)
 
-# towers and analysis load on first use, since most commands need
-# neither. Each name below maps to its home module.
+# dynamics, towers and analysis load on first use, since convert needs
+# none of them and most other commands need only dynamics. Each name
+# below maps to its home module.
 _LAZY = dict.fromkeys((
+    "dynamics", "Attractor", "AttractorAtlas", "CertificationError",
+    "DescentBound", "OrbitCapError", "OrbitReport", "ReplayError",
+    "SizeCapError", "WitnessError", "classify", "descent_bound",
+    "enumerate_attractors", "happy_step", "happy_step_nat", "iterate",
+    "smallest_j"), "dynamics")
+_LAZY.update(dict.fromkeys((
     "towers", "ChainNumber", "NiceWitness", "SequenceCertificate",
     "additivity_check", "build_sequence", "certificate_to_json",
     "materialize", "nice_check", "preimage_ones", "replay_run",
-    "verify_concrete"), "towers")
+    "verify_concrete"), "towers"))
 _LAZY.update(dict.fromkeys((
     "analysis", "DensityReport", "RunRecord", "RunSearch", "density",
     "emit_report", "is_p_happy", "smallest_runs"), "analysis"))

@@ -8,16 +8,18 @@ value, and the atlas classifies them, dense ones by such a table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import comb
+from typing import TYPE_CHECKING
 
 from .dynamics import (
     _LOW, Attractor, AttractorAtlas, _high_sum, _low_sums, _packed_tally,
     classify, happy_step_nat, step_image_bound, step_sum_tally)
 from .factoradic import _need_ints, digit_count
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Largest search_cap smallest_runs accepts: its table holds one entry
 # per value up to the cap or, if smaller, the cap's step image bound.
@@ -174,6 +176,7 @@ def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
         totals = [0] * len(atlas.attractors)
         for a, c in zip(islice(table, 1, None), slots):
             totals[a] += c
+    from fractions import Fraction
     counts = dict(zip(atlas.attractors, totals))
     proportions = {att: Fraction(c, upper) for att, c in counts.items()}
     return DensityReport(e=e, upper=upper, counts=counts,
@@ -202,8 +205,7 @@ def emit_report(report: DensityReport | RunSearch, format: str = "csv") -> str:
                       "proportion_num": c, "proportion_den": report.upper}
                      for text, c in rows],
         }
-        return json.dumps(obj)
-    if isinstance(report, RunSearch):
+    elif isinstance(report, RunSearch):
         if format == "csv":
             lines = ["e,p,m,start"]
             lines += [f"{r.e},{r.p},{r.m},{r.start}" for r in report.records]
@@ -216,5 +218,7 @@ def emit_report(report: DensityReport | RunSearch, format: str = "csv") -> str:
             "complete": report.complete,
             "rows": [{"m": r.m, "start": r.start} for r in report.records],
         }
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(report).__name__}")
+    else:
+        raise TypeError(f"cannot serialize {type(report).__name__}")
+    import json
+    return json.dumps(obj)

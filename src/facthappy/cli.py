@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from . import dynamics, factoradic  # towers and analysis: per command
+from . import factoradic  # dynamics, towers and analysis: per command
 
 # Offsets known to steer every attractor member to the given fixed
 # point, so `build` works out of the box for e in {2, 3, 4}.
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=integer, required=True)
     p.add_argument("--trace", action="store_true",
                    help="print step<TAB>value<TAB>digits per step")
-    p.add_argument("--cap", type=integer, default=dynamics.DEFAULT_ORBIT_CAP)
+    p.add_argument("--cap", type=integer)  # default: DEFAULT_ORBIT_CAP
 
     p = sub.add_parser("attractors", help="fixed points and cycles for e")
     p.add_argument("--e", type=integer, required=True)
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attractor_phrase(att: dynamics.Attractor) -> str:
+def _attractor_phrase(att) -> str:
     return f"{att.kind.replace('_', ' ')} {att.text}"
 
 
@@ -122,7 +122,9 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    report = dynamics.classify(args.n, args.e, cap=args.cap, trace=args.trace)
+    from . import dynamics
+    cap = dynamics.DEFAULT_ORBIT_CAP if args.cap is None else args.cap
+    report = dynamics.classify(args.n, args.e, cap=cap, trace=args.trace)
     if args.trace:
         for step, value in enumerate(report.trajectory):
             digits = factoradic.format(factoradic.to_factoradic(value))
@@ -135,6 +137,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_attractors(args) -> int:
+    from . import dynamics
     atlas = dynamics.enumerate_attractors(args.e)
     if args.format == "csv":
         print("kind,members")
@@ -149,6 +152,7 @@ def _cmd_attractors(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import dynamics
     bound = dynamics.descent_bound(args.e)
     print(f"e: {bound.e}")
     print(f"j: {bound.j}")
@@ -162,7 +166,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_nice(args) -> int:
-    from . import towers
+    from . import dynamics, towers
     atlas = dynamics.enumerate_attractors(args.e)
     witness = towers.nice_check(args.e, args.p, args.l, atlas)
     print(f"e: {witness.e}")
@@ -174,7 +178,7 @@ def _cmd_nice(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from . import towers
+    from . import dynamics, towers
     towers._check_run_length(args.m)
     offset = args.l
     if offset is None:
@@ -205,7 +209,7 @@ def _emit(text: str) -> None:
 
 
 def _cmd_runs(args) -> int:
-    from . import analysis
+    from . import analysis, dynamics
     cap = analysis.DEFAULT_SEARCH_CAP if args.cap is None else args.cap
     atlas = dynamics.enumerate_attractors(args.e)
     search = analysis.smallest_runs(
@@ -229,7 +233,7 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    from . import analysis
+    from . import analysis, dynamics
     atlas = dynamics.enumerate_attractors(args.e)
     report = analysis.density(args.e, args.upper, atlas)
     if args.format is not None:
@@ -275,9 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (dynamics.CertificationError, dynamics.OrbitCapError,
-            dynamics.WitnessError, dynamics.ReplayError,
-            dynamics.SizeCapError) as exc:
+    except factoradic.ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import repeat
 from math import factorial
 
-from .factoradic import FactoradicRep, _need_ints, _split_digits, digit_count
+from .factoradic import (
+    ComputationError, FactoradicRep, _need_ints, _split_digits, digit_count)
 
 DEFAULT_ORBIT_CAP = 10_000
 # Most dictionary updates a step-sum tally may need, packed or not: it admits
@@ -33,23 +34,23 @@ _TABLE_BITS = 672
 EXPONENT_LIMIT = 200
 
 
-class CertificationError(RuntimeError):
+class CertificationError(ComputationError):
     """The exact-integer descent certificate failed for this exponent."""
 
 
-class OrbitCapError(RuntimeError):
+class OrbitCapError(ComputationError):
     """An orbit walk exceeded its safety cap before reaching an attractor."""
 
 
-class WitnessError(RuntimeError):
+class WitnessError(ComputationError):
     """An offset failed to steer every attractor member into the target."""
 
 
-class ReplayError(RuntimeError):
+class ReplayError(ComputationError):
     """Symbolic replay of a certificate broke an exact side condition."""
 
 
-class SizeCapError(RuntimeError):
+class SizeCapError(ComputationError):
     """Materializing a chain would exceed the allowed digit count."""
 
 

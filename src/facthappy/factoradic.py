@@ -31,6 +31,14 @@ class MalformedRepresentationError(ValueError):
     """A digit sequence or digit string violates the factoradic invariants."""
 
 
+class ComputationError(RuntimeError):
+    """Base of the dynamics failures the CLI exits 2 on.
+
+    Defined here, in the one layer every command loads, so the CLI
+    catches them without importing dynamics.
+    """
+
+
 def _need_ints(**values: int) -> None:
     for name, value in values.items():
         if type(value) is not int:  # a bool, a float or a Fraction is refused

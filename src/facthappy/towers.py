@@ -19,7 +19,6 @@ finishing with ordinary integer iteration on the small concrete tail.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,9 @@ from .factoradic import (
 # e = 2..5 and m = 3 * 10^4 takes 0.8-3.8 s (2-core x86-64, Python
 # 3.11.7), and every index keeps a step count in the certificate.
 RUN_LENGTH_LIMIT = 10 ** 4
+# Most digits materialize expands a chain into, whatever its size_cap:
+# the digit tuple holds one 8-byte pointer per digit, 80 MB at the limit.
+EXPANSION_LIMIT = 10 ** 7
 
 
 def preimage_ones(x: int) -> FactoradicRep:
@@ -299,7 +301,8 @@ def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
     already tops any practical cap, while tiny tops stay small. A level
     of width w is summed only while pad + w <= digit_count(10^(d + 1)),
     d the cap's decimal digit count. A refusal bounds the digits of the
-    level it refuses as the size note does, and carries the note.
+    level it refuses as the size note does, and carries the note. Level 0
+    is built only if it also has at most EXPANSION_LIMIT digits.
     """
     _need_ints(size_cap=size_cap)
     if chain.depth == 0:
@@ -312,6 +315,10 @@ def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
                 f"level {level} needs {_decimal(t + width)} digits, above the "
                 f"cap of {_decimal(size_cap)} ({_size_note(chain)})")
         if level == 0:
+            if t + width > EXPANSION_LIMIT:
+                raise SizeCapError(
+                    f"level 0 needs {_decimal(t + width)} digits, above the "
+                    f"expansion limit of {EXPANSION_LIMIT:,} ({_size_note(chain)})")
             return shift(preimage_ones(width), t)
         if t + width > most:
             raise SizeCapError(
@@ -348,6 +355,7 @@ def verify_concrete(cert: SequenceCertificate, *, size_cap: int = 10 ** 6) -> No
 
 def certificate_to_json(cert: SequenceCertificate) -> str:
     """Stable JSON form: e, p, m, t, r, l, per_i, size_note in that order."""
+    import json
     obj = {
         "e": cert.e,
         "p": cert.p,

@@ -145,6 +145,7 @@ def test_each_failure_class_exits_two(capsys, monkeypatch):
         monkeypatch.setitem(cli._DISPATCH, "bound", fail)
         code, out, err = run_cli(capsys, "bound", "--e", "2")
         assert (code, out, err) == (2, "", f"error: {cls.__name__} raised\n")
+        assert cls.__bases__ == (factoradic.ComputationError,)
 
 
 def test_other_runtime_errors_are_not_failures(capsys, monkeypatch):

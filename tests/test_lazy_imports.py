@@ -52,28 +52,59 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("facthappy
 @pytest.mark.parametrize("argv, loaded", [
     (("convert", "2020"), ()),
     (("convert", "--digits", "2.4.4.0.2.0!"), ()),
-    (("orbit", "2021", "--e", "2", "--trace"), ()),
-    (("bound", "--e", "5"), ()),
-    (("attractors", "--e", "4", "--format", "csv"), ()),
-    (("nice", "--e", "2", "--p", "1", "--l", "20"), ("towers",)),
+    (("orbit", "2021", "--e", "2", "--trace"), ("dynamics",)),
+    (("bound", "--e", "5"), ("dynamics",)),
+    (("attractors", "--e", "4", "--format", "csv"), ("dynamics",)),
+    (("nice", "--e", "2", "--p", "1", "--l", "20"), ("dynamics", "towers")),
     (("build", "--e", "3", "--p", "17", "--m", "4", "--format", "json"),
-     ("towers",)),
-    (("runs", "--e", "2", "--max-m", "3"), ("analysis",)),
+     ("dynamics", "towers")),
+    (("runs", "--e", "2", "--max-m", "3"), ("analysis", "dynamics")),
     (("density", "--e", "3", "--upper", "100", "--format", "json"),
-     ("analysis",)),
+     ("analysis", "dynamics")),
 ])
 def test_command_loads_only_its_layers(argv, loaded):
     code, modules = fresh(LOADED_BY_COMMAND, *argv)
     assert code == 0
     assert modules == sorted(
-        f"facthappy.{m}" for m in ("cli", "dynamics", "factoradic", *loaded))
+        f"facthappy.{m}" for m in ("cli", "factoradic", *loaded))
+
+
+# Reads sys.modules before anything in this script imports json.
+STDLIB_LOADED_BY_COMMAND = """
+import sys
+before = set(sys.modules)
+import contextlib, io
+from facthappy import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in ("json", "fractions")
+                if m in sys.modules and m not in before)
+import json
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("nice", "--e", "2", "--p", "1", "--l", "20"), []),
+    (("build", "--e", "3", "--p", "17", "--m", "4"), []),
+    (("runs", "--e", "2", "--max-m", "3"), []),
+    (("runs", "--e", "2", "--max-m", "3", "--format", "csv"), []),
+    (("density", "--e", "3", "--upper", "100"), ["fractions"]),
+    (("density", "--e", "3", "--upper", "100", "--format", "csv"),
+     ["fractions"]),
+    (("build", "--e", "3", "--p", "17", "--m", "4", "--format", "json"),
+     ["json"]),
+    (("runs", "--e", "2", "--max-m", "3", "--format", "json"), ["json"]),
+])
+def test_json_and_fractions_load_only_where_used(argv, loaded):
+    assert fresh(STDLIB_LOADED_BY_COMMAND, *argv) == [0, loaded]
 
 
 def test_every_exported_name_is_its_home_object():
     checks = fresh("""
 import json, sys, types
 import facthappy
-lazy = sorted(m for m in ("towers", "analysis")
+lazy = sorted(m for m in ("dynamics", "towers", "analysis")
               if f"facthappy.{m}" in sys.modules)
 out = {"lazy_at_import": lazy, "all": sorted(facthappy.__all__),
        "dir": sorted(n for n in dir(facthappy) if not n.startswith("_"))}
@@ -94,8 +125,8 @@ print(json.dumps(out))
 
 
 def test_exceptions_load_no_lazy_layer():
-    # The towers exceptions live in dynamics, which the package imports
-    # up front, so reading them imports neither towers nor analysis.
+    # The towers exceptions live in dynamics, so reading them loads
+    # dynamics on first use but neither towers nor analysis.
     checks = fresh("""
 import json, sys
 import facthappy

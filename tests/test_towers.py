@@ -15,6 +15,7 @@ from facthappy.cli import BUILTIN_OFFSETS
 from facthappy.dynamics import classify, happy_step, happy_step_nat, iterate
 from facthappy.factoradic import add, digit_count, to_factoradic, to_natural
 from facthappy.towers import (
+    EXPANSION_LIMIT,
     RUN_LENGTH_LIMIT,
     ChainNumber,
     NiceWitness,
@@ -496,6 +497,29 @@ def test_materialize_refuses_by_exact_factorial_bound():
             materialize(ChainNumber(base, t, 2), size_cap)
         assert str(caught.value) == text
     assert len(materialize(ChainNumber(7, 1, 2), 10 ** 6).digits) == 46233
+
+
+def test_materialize_refuses_past_the_expansion_limit(monkeypatch):
+    # ChainNumber(12, 0, 2) is 1! + ... + 12! = 522,956,313 digits wide at
+    # level 0, under a cap of 10^9 but over EXPANSION_LIMIT: it is refused
+    # by name, at once, and no digit is built.
+    monkeypatch.setattr(towers, "preimage_ones", None)
+    started = time.perf_counter()
+    with pytest.raises(SizeCapError) as caught:
+        materialize(ChainNumber(12, 0, 2), 10 ** 9)
+    assert time.perf_counter() - started < 1
+    assert str(caught.value) == (
+        "level 0 needs 522956313 digits, above the expansion limit of "
+        "10,000,000 (ones-block tower: depth 2, pad 0, top value 12; at "
+        "least 10^8 digits when expanded)")
+    # At the limit itself the level is built (stubbed here: 80 MB).
+    monkeypatch.setattr(towers, "preimage_ones", lambda width: width)
+    monkeypatch.setattr(towers, "shift", lambda width, t: t + width)
+    assert EXPANSION_LIMIT == 10 ** 7
+    assert materialize(ChainNumber(EXPANSION_LIMIT - 3, 3, 1), 10 ** 9) \
+        == EXPANSION_LIMIT
+    with pytest.raises(SizeCapError, match="expansion limit"):
+        materialize(ChainNumber(EXPANSION_LIMIT - 2, 3, 1), 10 ** 9)
 
 
 def test_materialize_decides_caps_past_the_int_str_limit(atlas):
