@@ -21,11 +21,6 @@ BUILTIN_OFFSETS = {
     (4, 1): 6, (4, 658): 65763, (4, 659): 31743,
 }
 
-# Most decimal digits an integer argument or a printed integer may have:
-# Python's default int/str conversion limit. Longer input is refused
-# before int() reads it, and a longer result before it is printed.
-DIGIT_LIMIT = 4300
-
 
 class UsageError(Exception):
     pass
@@ -37,13 +32,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _over_limit(what: str, digits: int) -> str:
-    return f"{what} has {digits:,} decimal digits, over the limit of {DIGIT_LIMIT:,}"
+    return (f"{what} has {digits:,} decimal digits, over the limit of "
+            f"{factoradic.DIGIT_LIMIT:,}")
 
 
 def integer(text: str) -> int:
-    """argparse type: an int of at most DIGIT_LIMIT digits."""
+    """argparse type: an int of at most factoradic.DIGIT_LIMIT digits."""
     digits = len(text.strip().lstrip("+-"))
-    if digits > DIGIT_LIMIT:
+    if digits > factoradic.DIGIT_LIMIT:
         raise argparse.ArgumentTypeError(_over_limit("the value", digits))
     return int(text)
 
@@ -110,7 +106,7 @@ def _cmd_convert(args) -> int:
         raise UsageError("convert needs exactly one of <n> or --digits")
     if args.digits is not None:
         value = factoradic.to_natural(factoradic.parse(args.digits))
-        if value >= 10 ** DIGIT_LIMIT:
+        if value >= 10 ** factoradic.DIGIT_LIMIT:
             raise UsageError(_over_limit(
                 "the result", factoradic._decimal_digits(value)))
         print(value)

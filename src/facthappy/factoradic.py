@@ -25,6 +25,10 @@ from typing import Iterable, Iterator
 # blocks j*2^level .. (j+1)*2^level - 1. 56 times within 8% of the best of
 # 40-80 both ways at 600-10^4 digits.
 _WIDTH = 56
+# Most decimal digits an integer argument or a printed integer may have:
+# Python's default int/str conversion limit. The CLI refuses longer
+# input before int() reads it, and a longer result before it is printed.
+DIGIT_LIMIT = 4300
 
 
 class MalformedRepresentationError(ValueError):
@@ -209,8 +213,9 @@ def shift(d: FactoradicRep, t: int) -> FactoradicRep:
     """Pad t zeros below d, moving digit a_i to position t + i.
 
     The value becomes sum(a_i * (t+i)!). Zero shifts to zero. Each
-    a_i <= i < t + i, and the top digit stays nonzero.
+    a_i <= i < t + i, and the top digit stays nonzero. t must be an int.
     """
+    _need_ints(t=t)
     if t < 0:
         raise ValueError(f"shift amount must be nonnegative, got {t}")
     if t == 0 or not d.digits:

@@ -26,17 +26,17 @@ from .dynamics import (
     AttractorAtlas, ReplayError, SizeCapError, WitnessError, happy_step,
     happy_step_nat)
 from .factoradic import (
-    FactoradicRep, _decimal_digits, _need_ints, _trusted, add, digit_count,
-    shift, to_factoradic, to_natural)
+    DIGIT_LIMIT, FactoradicRep, _decimal_digits, _need_ints, _trusted, add,
+    digit_count, shift, to_factoradic, to_natural)
 
 # Longest run build_sequence certifies. Each index is looked up, stepped
 # and replayed, so the time is linear in m: m = 10^4 takes 0.3-1.2 s for
 # e = 2..5 and m = 3 * 10^4 takes 0.8-3.8 s (2-core x86-64, Python
 # 3.11.7), and every index keeps a step count in the certificate.
 RUN_LENGTH_LIMIT = 10 ** 4
-# Most digits materialize expands a chain into, whatever its size_cap:
-# the digit tuple holds one 8-byte pointer per digit, 80 MB at the limit.
-EXPANSION_LIMIT = 10 ** 7
+# Most digits materialize expands a chain into: the digit tuple holds
+# one 8-byte pointer per digit, 8 MB at the limit.
+EXPANSION_LIMIT = 10 ** 6
 
 
 def preimage_ones(x: int) -> FactoradicRep:
@@ -120,6 +120,7 @@ class ChainNumber:
     depth: int
 
     def __post_init__(self) -> None:
+        _need_ints(base=self.base, shift=self.shift, depth=self.depth)
         if self.base < 0 or self.shift < 0 or self.depth < 0:
             raise ValueError("base, shift and depth must be nonnegative")
         if self.depth > 0 and self.base < 1:
@@ -135,7 +136,7 @@ class SequenceCertificate:
     steps_by_index[i] is the exact step count of chain + i, r symbolic
     peels then the concrete tail, and every replay of i demands it. Its
     keys must be exactly 1..m: the first missing or extra index raises
-    ValueError.
+    ValueError, and so does a step count that is not an int.
     """
 
     e: int
@@ -152,10 +153,11 @@ class SequenceCertificate:
         for i in range(1, self.m + 1):
             if i not in self.steps_by_index:
                 raise ValueError(f"steps_by_index has no index {i}")
-        for i in self.steps_by_index:
+        for i, steps in self.steps_by_index.items():
             if not (type(i) is int and 1 <= i <= self.m):
                 raise ValueError(
                     f"steps_by_index has index {i!r} outside [1, {self.m}]")
+            _need_ints(**{f"steps_by_index[{i}]": steps})
 
     @property
     def chain(self) -> ChainNumber:
@@ -276,9 +278,9 @@ def _level_width_log10(chain: ChainNumber) -> int:
 
 
 def _decimal(n: int) -> str:
-    """n in decimal, or its length where str() refuses over 4,300 digits."""
+    """n in decimal, or its length past DIGIT_LIMIT digits, where str() refuses."""
     digits = _decimal_digits(abs(n))
-    return str(n) if digits <= 4300 else f"<{digits:,}-digit integer>"
+    return str(n) if digits <= DIGIT_LIMIT else f"<{digits:,}-digit integer>"
 
 
 def _size_note(chain: ChainNumber) -> str:
@@ -293,43 +295,37 @@ def _size_note(chain: ChainNumber) -> str:
             f"10^{_decimal(_level_width_log10(chain))} digits when expanded")
 
 
-def materialize(chain: ChainNumber, size_cap: int) -> FactoradicRep:
-    """Expand a chain to an explicit digit string if it fits under size_cap.
+def materialize(chain: ChainNumber) -> FactoradicRep:
+    """Expand a chain to explicit digits if it fits under EXPANSION_LIMIT.
 
     Walks the levels from the top, each the pad plus the value of the
     level above digits wide: a depth-2 chain with a typical offset
-    already tops any practical cap, while tiny tops stay small. A level
-    of width w is summed only while pad + w <= digit_count(10^(d + 1)),
-    d the cap's decimal digit count. A refusal bounds the digits of the
-    level it refuses as the size note does, and carries the note. Level 0
-    is built only if it also has at most EXPANSION_LIMIT digits.
+    already tops the limit, while tiny tops stay small. A level of width
+    w is summed only while pad + w <= digit_count(10^(d + 1)), d the
+    limit's decimal digit count. A refusal bounds the digits of the
+    level it refuses as the size note does, and carries the note.
     """
-    _need_ints(size_cap=size_cap)
     if chain.depth == 0:
         return to_factoradic(chain.base)
     t, width = chain.shift, chain.base
-    most = chain.depth > 1 and digit_count(10 ** (_decimal_digits(size_cap) + 1))
+    most = chain.depth > 1 and digit_count(10 ** (_decimal_digits(EXPANSION_LIMIT) + 1))
     for level in range(chain.depth - 1, -1, -1):
-        if t + width > size_cap:
+        if t + width > EXPANSION_LIMIT:
             raise SizeCapError(
                 f"level {level} needs {_decimal(t + width)} digits, above the "
-                f"cap of {_decimal(size_cap)} ({_size_note(chain)})")
+                f"cap of {EXPANSION_LIMIT} ({_size_note(chain)})")
         if level == 0:
-            if t + width > EXPANSION_LIMIT:
-                raise SizeCapError(
-                    f"level 0 needs {_decimal(t + width)} digits, above the "
-                    f"expansion limit of {EXPANSION_LIMIT:,} ({_size_note(chain)})")
             return shift(preimage_ones(width), t)
         if t + width > most:
             raise SizeCapError(
                 f"level {level - 1} would need about 10^"
                 f"{_decimal(_level_width_log10(ChainNumber(width, t, 2)))} "
-                f"digits, above the cap of {_decimal(size_cap)} "
+                f"digits, above the cap of {EXPANSION_LIMIT} "
                 f"({_size_note(chain)})")
         width = sum(math.factorial(t + i) for i in range(1, width + 1))
 
 
-def verify_concrete(cert: SequenceCertificate, *, size_cap: int = 10 ** 6) -> None:
+def verify_concrete(cert: SequenceCertificate) -> None:
     """Cross-check the symbolic replay against explicit digit strings.
 
     Materializes the chain (raising SizeCapError when it cannot fit),
@@ -339,7 +335,7 @@ def verify_concrete(cert: SequenceCertificate, *, size_cap: int = 10 ** 6) -> No
     step is the one the symbolic replay performs by rewriting, so this
     closes the loop for every chain small enough to expand.
     """
-    rep = materialize(cert.chain, size_cap)
+    rep = materialize(cert.chain)
     for i in range(1, cert.m + 1):
         with_index = add(rep, i)
         if cert.r == 0:

@@ -388,7 +388,7 @@ def test_build_run_length_limit(capsys):
 
 
 def test_integer_arguments_over_digit_limit_refused_briefly(capsys):
-    over = "9" * (cli.DIGIT_LIMIT + 1)
+    over = "9" * (factoradic.DIGIT_LIMIT + 1)
     for argv in (("convert", over), ("orbit", over, "--e", "2"),
                  ("density", "--e", "2", "--upper", "+" + over)):
         code, out, err = run_cli(capsys, *argv)
@@ -399,7 +399,7 @@ def test_integer_arguments_over_digit_limit_refused_briefly(capsys):
 
 def test_convert_result_over_digit_limit_refused(capsys):
     text = factoradic.format(factoradic.FactoradicRep(
-        loop_digits(10 ** cli.DIGIT_LIMIT)))
+        loop_digits(10 ** factoradic.DIGIT_LIMIT)))
     code, out, err = run_cli(capsys, "convert", "--digits", text)
     assert (code, out) == (1, "")
     assert err == ("error: the result has 4,301 decimal digits, "
@@ -433,12 +433,12 @@ def test_convert_refuses_non_ascii_digits(capsys):
 
 
 def test_convert_at_digit_limit_is_byte_identical(capsys):
-    n = 10 ** cli.DIGIT_LIMIT - 1
+    n = 10 ** factoradic.DIGIT_LIMIT - 1
     text = ".".join(str(a) for a in reversed(loop_digits(n))) + "!"
-    code, out, _ = run_cli(capsys, "convert", "9" * cli.DIGIT_LIMIT)
+    code, out, _ = run_cli(capsys, "convert", "9" * factoradic.DIGIT_LIMIT)
     assert (code, out) == (0, text + "\n")
     code, out, _ = run_cli(capsys, "convert", "--digits", text)
-    assert (code, out) == (0, "9" * cli.DIGIT_LIMIT + "\n")
+    assert (code, out) == (0, "9" * factoradic.DIGIT_LIMIT + "\n")
 
 
 def test_identical_argv_identical_bytes(capsys):

@@ -206,8 +206,9 @@ def _certificate(atlas, **fields):
 @pytest.mark.parametrize("call, text", [
     (lambda atlas: replay_run(_certificate(atlas), 1.0),
      "i must be an int, got 1.0"),
-    (lambda atlas: materialize(ChainNumber(3, 1, 1), 10.5),
-     "size_cap must be an int, got 10.5"),
+    (lambda atlas: ChainNumber(1.5, 0, 1), "base must be an int, got 1.5"),
+    (lambda atlas: ChainNumber(3, True, 1), "shift must be an int, got True"),
+    (lambda atlas: ChainNumber(3, 1, 2.0), "depth must be an int, got 2.0"),
     (lambda atlas: _certificate(atlas, e=2.0), "e must be an int, got 2.0"),
     (lambda atlas: _certificate(atlas, p=True), "p must be an int, got True"),
     (lambda atlas: _certificate(atlas, m=3.0), "m must be an int, got 3.0"),
@@ -216,12 +217,15 @@ def _certificate(atlas, **fields):
      "r must be an int, got Fraction(1, 1)"),
     (lambda atlas: _certificate(atlas, offset=20.0),
      "offset must be an int, got 20.0"),
-], ids=["replay_run i", "materialize size_cap", "certificate e",
-        "certificate p", "certificate m", "certificate t", "certificate r",
-        "certificate offset"])
+    (lambda atlas: _certificate(atlas, steps_by_index={1: 5, 2: 5.0, 3: 5}),
+     "steps_by_index[2] must be an int, got 5.0"),
+], ids=["replay_run i", "chain base", "chain shift", "chain depth",
+        "certificate e", "certificate p", "certificate m", "certificate t",
+        "certificate r", "certificate offset", "certificate steps"])
 def test_replay_materialize_and_certificate_refuse_non_ints(call, text, atlas):
     # Unchecked, a float offset would break certificate_to_json, a float t
-    # would replay and a float cap would expand: each is refused by name.
+    # or step count would replay and a float base would reach the size
+    # note: each is refused by name.
     assert _refused(lambda: call(atlas)) == (ValueError, text)
 
 
@@ -356,7 +360,7 @@ def test_build_sequence_run_of_one_is_concrete(atlas):
     assert cert.chain.depth == 0
     assert cert.steps_by_index == {1: 3}
     # the certified number is simply offset + 1 = 21
-    assert to_natural(materialize(cert.chain, 100)) + 1 == 21
+    assert to_natural(materialize(cert.chain)) + 1 == 21
     verify_concrete(cert)
 
 
@@ -378,7 +382,7 @@ def test_verify_concrete_handles_small_depth_two_chain(atlas):
 
 @pytest.mark.parametrize("key", sorted(WITNESSES) + [(1, 1, 1)])
 def test_replay_agrees_with_verify_concrete(key, atlas):
-    # Every chain that expands under the cap (depth <= 1, and the small
+    # Every chain that expands under the limit (depth <= 1, and the small
     # depth-2 towers of e = 1) must take the replayed step counts on its
     # explicit digit string too.
     e, p, offset = key
@@ -389,7 +393,7 @@ def test_replay_agrees_with_verify_concrete(key, atlas):
         replayed = {i: replay_run(cert, i) for i in range(1, m + 1)}
         assert replayed == cert.steps_by_index
         try:
-            verify_concrete(cert, size_cap=10 ** 6)
+            verify_concrete(cert)
             expanded.add(cert.chain.depth)
         except SizeCapError:
             assert cert.chain.depth >= 2
@@ -428,7 +432,7 @@ def test_build_sequence_validates_inputs(atlas):
 def test_depth_one_chain_plus_small_index_keeps_upper_digits():
     rng = random.Random(5)
     for base, t in ((3, 4), (20, 6), (45, 9), (65763, 12)):
-        rep = materialize(ChainNumber(base=base, shift=t, depth=1), 10 ** 6)
+        rep = materialize(ChainNumber(base=base, shift=t, depth=1))
         for i in [1, math.factorial(t + 1) - 1] + [
                 rng.randrange(1, math.factorial(t + 1)) for _ in range(20)]:
             digits = add(rep, i).digits
@@ -437,29 +441,31 @@ def test_depth_one_chain_plus_small_index_keeps_upper_digits():
             assert digits[:t] == low + (0,) * (t - len(low))
 
 
-def test_materialize_depths(atlas):
-    assert materialize(ChainNumber(20, 2, 0), 10 ** 6) == to_factoradic(20)
-    rep = materialize(ChainNumber(20, 2, 1), 10 ** 6)
+def test_materialize_depths(atlas, monkeypatch):
+    assert materialize(ChainNumber(20, 2, 0)) == to_factoradic(20)
+    rep = materialize(ChainNumber(20, 2, 1))
     assert rep.digits == (0, 0) + (1,) * 20
     assert to_natural(rep) == sum(math.factorial(i + 2) for i in range(1, 21))
     with pytest.raises(SizeCapError, match="10\\^"):
-        materialize(ChainNumber(20, 2, 2), 10 ** 6)
+        materialize(ChainNumber(20, 2, 2))
+    monkeypatch.setattr(towers, "EXPANSION_LIMIT", 40)
     with pytest.raises(SizeCapError):
-        materialize(ChainNumber(50, 3, 1), 40)
+        materialize(ChainNumber(50, 3, 1))
 
 
-def _float_rule(x, size_cap):
+def _float_rule(x, cap):
     """The lgamma estimate materialize once refused a level by."""
-    return math.lgamma(x + 1) / math.log(10) > len(str(size_cap)) + 1
+    return math.lgamma(x + 1) / math.log(10) > len(str(cap)) + 1
 
 
-def test_materialize_refuses_by_exact_factorial_bound():
+def test_materialize_refuses_by_exact_factorial_bound(monkeypatch):
     # The level below one of width w and pad t needs more than (t + w)!
     # digits. It is refused at once when that factorial passes
-    # 10 ** (len(str(size_cap)) + 1); the exact product decides as the
-    # float estimate did, with x! just below and just above the bound.
-    for size_cap in (1, 9, 10, 99, 100, 999, 1000, 12345, 10 ** 5 - 1, 10 ** 6):
-        limit = 10 ** (len(str(size_cap)) + 1)
+    # 10 ** (len(str(EXPANSION_LIMIT)) + 1); the exact product decides as
+    # the float estimate did, with x! just below and just above the bound.
+    for cap in (1, 9, 10, 99, 100, 999, 1000, 12345, 10 ** 5 - 1, 10 ** 6):
+        monkeypatch.setattr(towers, "EXPANSION_LIMIT", cap)
+        limit = 10 ** (len(str(cap)) + 1)
         top = max(x for x in range(1, 40) if math.factorial(x) <= limit)
         assert math.factorial(top) <= limit < math.factorial(top + 1)
         grid = {(t, w) for t in range(7) for w in range(1, 8)}
@@ -467,13 +473,13 @@ def test_materialize_refuses_by_exact_factorial_bound():
                  for t in range(x)}
         for t, w in sorted(grid):
             exact = math.factorial(t + w) > limit
-            assert exact == _float_rule(t + w, size_cap)
+            assert exact == _float_rule(t + w, cap)
             try:
-                materialize(ChainNumber(w, t, 2), size_cap)
+                materialize(ChainNumber(w, t, 2))
                 refused = ""
             except SizeCapError as exc:
                 refused = str(exc)
-            if t + w <= size_cap:
+            if t + w <= cap:
                 assert ("would need about" in refused) == exact
     # Each exponent is at most log10 of the expanded digit count: 21.07,
     # where Robbins's bound on 22! gives 20, then 4.66, 4.66 and 5.61,
@@ -492,54 +498,40 @@ def test_materialize_refuses_by_exact_factorial_bound():
         "100000 (ones-block tower: depth 2, pad 0, top value 9; at least 10^5 "
         "digits when expanded)",
     }
-    for (base, t, size_cap), text in pinned.items():
+    for (base, t, cap), text in pinned.items():
+        monkeypatch.setattr(towers, "EXPANSION_LIMIT", cap)
         with pytest.raises(SizeCapError) as caught:
-            materialize(ChainNumber(base, t, 2), size_cap)
+            materialize(ChainNumber(base, t, 2))
         assert str(caught.value) == text
-    assert len(materialize(ChainNumber(7, 1, 2), 10 ** 6).digits) == 46233
+    monkeypatch.undo()
+    assert len(materialize(ChainNumber(7, 1, 2)).digits) == 46233
 
 
 def test_materialize_refuses_past_the_expansion_limit(monkeypatch):
     # ChainNumber(12, 0, 2) is 1! + ... + 12! = 522,956,313 digits wide at
-    # level 0, under a cap of 10^9 but over EXPANSION_LIMIT: it is refused
-    # by name, at once, and no digit is built.
+    # level 0, over EXPANSION_LIMIT: level 1 is 12 digits wide, past the
+    # widths whose level below can fit, so it is refused by name, at once,
+    # and no digit is built.
     monkeypatch.setattr(towers, "preimage_ones", None)
     started = time.perf_counter()
     with pytest.raises(SizeCapError) as caught:
-        materialize(ChainNumber(12, 0, 2), 10 ** 9)
+        materialize(ChainNumber(12, 0, 2))
     assert time.perf_counter() - started < 1
     assert str(caught.value) == (
-        "level 0 needs 522956313 digits, above the expansion limit of "
-        "10,000,000 (ones-block tower: depth 2, pad 0, top value 12; at "
-        "least 10^8 digits when expanded)")
-    # At the limit itself the level is built (stubbed here: 80 MB).
+        "level 0 would need about 10^8 digits, above the cap of 1000000 "
+        "(ones-block tower: depth 2, pad 0, top value 12; at least 10^8 "
+        "digits when expanded)")
+    # At the limit itself the level is built (stubbed here: 8 MB).
     monkeypatch.setattr(towers, "preimage_ones", lambda width: width)
     monkeypatch.setattr(towers, "shift", lambda width, t: t + width)
-    assert EXPANSION_LIMIT == 10 ** 7
-    assert materialize(ChainNumber(EXPANSION_LIMIT - 3, 3, 1), 10 ** 9) \
+    assert EXPANSION_LIMIT == 10 ** 6
+    assert materialize(ChainNumber(EXPANSION_LIMIT - 3, 3, 1)) \
         == EXPANSION_LIMIT
-    with pytest.raises(SizeCapError, match="expansion limit"):
-        materialize(ChainNumber(EXPANSION_LIMIT - 2, 3, 1), 10 ** 9)
-
-
-def test_materialize_decides_caps_past_the_int_str_limit(atlas):
-    # A cap of 5,001 decimal digits is past the 4,300 digits str() takes:
-    # it decides as a smaller cap does and is written by its length.
-    huge = 10 ** 5000
-    small = materialize(ChainNumber(3, 1, 2), 10 ** 6)
-    assert len(small.digits) == 33
-    assert materialize(ChainNumber(3, 1, 2), huge) == small
     with pytest.raises(SizeCapError) as caught:
-        materialize(ChainNumber(20, 2, 3), huge)
-    assert "above the cap of <5,001-digit integer> (" in str(caught.value)
-    with pytest.raises(SizeCapError) as caught:
-        materialize(ChainNumber(huge + 1, 0, 1), huge)
+        materialize(ChainNumber(EXPANSION_LIMIT - 2, 3, 1))
     assert str(caught.value) == (
-        "level 0 needs <5,001-digit integer> digits, above the cap of "
-        "<5,001-digit integer> (ones block of length <5,001-digit integer> "
-        "shifted by 0 (<5,001-digit integer> digits))")
-    cert = build_sequence(1, 1, 3, nice_check(1, 1, 1, atlas(1)), atlas(1))
-    verify_concrete(cert, size_cap=huge)
+        "level 0 needs 1000001 digits, above the cap of 1000000 (ones block "
+        "of length 999998 shifted by 3 (1000001 digits))")
 
 
 def _note_exponent(chain):
@@ -556,7 +548,7 @@ def test_size_notes_past_the_float_and_int_str_limits():
     # written by its length.
     big = 10 ** 400
     with pytest.raises(SizeCapError) as caught:
-        materialize(ChainNumber(big, 0, 2), 10 ** 6)
+        materialize(ChainNumber(big, 0, 2))
     exponent = 3995654848409443359375 * 10 ** 381 + 1
     assert str(caught.value) == (
         f"level 1 needs {big} digits, above the cap of 1000000 (ones-block "
@@ -567,7 +559,7 @@ def test_size_notes_past_the_float_and_int_str_limits():
     assert _size_note(ChainNumber(10 ** 5000, 0, 0)) == (
         "concrete value <5,001-digit integer>")
     with pytest.raises(SizeCapError) as caught:
-        materialize(ChainNumber(3, 10 ** 5000, 2), 10 ** 6)
+        materialize(ChainNumber(3, 10 ** 5000, 2))
     assert str(caught.value) == (
         "level 1 needs <5,001-digit integer> digits, above the cap of 1000000 "
         "(ones-block tower: depth 2, pad <5,001-digit integer>, top value 3; "
@@ -629,7 +621,7 @@ def test_size_note_never_tops_the_expanded_digit_count():
 
 def test_refusal_exponent_bounds_the_level_it_refuses(monkeypatch):
     # Every depth-2 and depth-3 chain with pad < 8 and top value < 40, at
-    # caps 10^0 to 10^9: a "level k would need about 10^L digits" refusal
+    # limits 10^0 to 10^9: a "level k would need about 10^L digits" refusal
     # bounds level k itself, so 10^L is at most its digit count wherever
     # that level can be summed. Accepted chains are not expanded.
     monkeypatch.setattr(towers, "preimage_ones", lambda width: None)
@@ -639,8 +631,9 @@ def test_refusal_exponent_bounds_the_level_it_refuses(monkeypatch):
         for t in range(8):
             for base in range(1, 40):
                 for k in range(10):
+                    monkeypatch.setattr(towers, "EXPANSION_LIMIT", 10 ** k)
                     try:
-                        materialize(ChainNumber(base, t, r), 10 ** k)
+                        materialize(ChainNumber(base, t, r))
                         continue
                     except SizeCapError as exc:
                         refused = re.match(r"level (\d+) would need about "
@@ -657,8 +650,9 @@ def test_refusal_exponent_bounds_the_level_it_refuses(monkeypatch):
     # 3! + ... + 22! the width of level 1: its exponent lies below
     # Robbins's lower bound on log10(W!), within W / 1000 of it.
     width = 2 + sum(math.factorial(k) for k in range(3, 23))
+    monkeypatch.setattr(towers, "EXPANSION_LIMIT", 10 ** 30)
     with pytest.raises(SizeCapError) as caught:
-        materialize(ChainNumber(20, 2, 3), 10 ** 30)
+        materialize(ChainNumber(20, 2, 3))
     exponent = 24302788316452078687533
     assert str(caught.value) == (
         f"level 0 would need about 10^{exponent} digits, above the cap of "
@@ -675,7 +669,7 @@ def test_chain_level_rewrite_holds_concretely():
         for _ in range(30):
             base = rng.randrange(1, 200)
             t = rng.randrange(1, 6)
-            rep = materialize(ChainNumber(base, t, 1), 10 ** 6)
+            rep = materialize(ChainNumber(base, t, 1))
             y = rng.randrange(0, math.factorial(t + 1))
             assert digit_count(y) <= t
             assert happy_step(add(rep, y), e) == base + happy_step_nat(y, e)

@@ -87,10 +87,10 @@ def test_preimage_ones_and_materialize():
     for x in (*range(1, 130), 10 ** 4):
         assert built(preimage_ones(x)).digits == (1,) * x
     for base in (0, 1, 2, 57, 58, 10 ** 30):
-        assert built(materialize(ChainNumber(base, 2, 0), 10 ** 6)) == \
+        assert built(materialize(ChainNumber(base, 2, 0))) == \
             to_factoradic(base)
     for base, t in ((1, 0), (3, 0), (20, 2), (55, 3), (500, 70)):
-        rep = built(materialize(ChainNumber(base, t, 1), 10 ** 6))
+        rep = built(materialize(ChainNumber(base, t, 1)))
         assert rep.digits == (0,) * t + (1,) * base
 
 
@@ -132,11 +132,13 @@ def test_step_sum_tally_refuses_a_negative_upper():
      "addend must be an int, got Fraction(2, 1)"),
     (lambda: add(to_factoradic(3), False), "addend must be an int, got False"),
     (lambda: add(to_factoradic(3), -1), "addend must be nonnegative, got -1"),
+    (lambda: shift(to_factoradic(5), True), "t must be an int, got True"),
+    (lambda: shift(ZERO, 2.5), "t must be an int, got 2.5"),
 ], ids=["float", "Fraction", "integral float", "bool", "str", "negative",
         "digit_count float", "digit_count Fraction",
         "digit_count integral float", "digit_count bool", "digit_count negative",
         "add float", "add Fraction", "add integral Fraction", "add bool",
-        "add negative"])
+        "add negative", "shift bool", "shift float"])
 def test_non_int_values_are_refused(call, text):
     # An integer must be an int: a bool, though an int subclass, would
     # be read as 0 or 1, and an integral float or Fraction as its value.
