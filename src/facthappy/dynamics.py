@@ -342,7 +342,10 @@ class AttractorAtlas:
     largest one-step image of a value up to bound. Every n >= 1 steps
     into [1, memo_bound], and one more step into Im = S([1, memo_bound]),
     which is closed under the map and holds every attractor member; any
-    other value steps until it meets Im. Immutable and thread-safe.
+    other value steps until it meets Im. The classification never
+    changes. The kept index table of extended_index_table only grows, and
+    is replaced whole, so a concurrent reader sees the old table or the
+    new one, never a half-built one.
     """
 
     def __init__(self, e: int, bound: int, memo_bound: int,
@@ -357,6 +360,7 @@ class AttractorAtlas:
         self.cycles = tuple(a for a in attractors if not a.is_fixed_point)
         self._index = index
         self._steps = steps
+        self._table = bytearray()  # extended_index_table's, one byte per value
 
     def _resolve(self, n: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[int, int]:
         """(attractor index, steps to reach it) for any n >= 1."""
@@ -373,10 +377,12 @@ class AttractorAtlas:
         return index[v], total + self._steps[v]
 
     def attractor_index(self, n: int) -> int:
+        _need_ints(n=n)
         return self._resolve(n)[0]
 
     def lookup(self, n: int) -> tuple[Attractor, int]:
         """(attractor, steps to reach it) for any n >= 1."""
+        _need_ints(n=n)
         index, steps = self._resolve(n)
         return self.attractors[index], steps
 
@@ -405,29 +411,45 @@ class AttractorAtlas:
     def extended_index_table(self, upper: int) -> list[int]:
         """Attractor-index table covering [1, upper]; entry 0 is unused (-1).
 
-        The table is filled in blocks of 7! values that share their
-        digits from the 7! place up, so the step of base + r is the
-        block's high sum plus the step of r. A value up to memo_bound is
-        read through its image, which is in Im; above memo_bound every
-        image is smaller than its value, so it is read from the table,
-        in one pass when the block's largest image is below its base.
-        Callers, smallest_runs and density's packed path, bound upper.
+        A fresh list each call, copied from the table the atlas keeps,
+        one byte per value, and grown only when upper is past its end:
+        the fill resumes at the first block of 7! values the table does
+        not hold whole, and the grown table replaces it whole. A block's
+        values share their digits from the 7! place up, so the step of
+        base + r is the block's high sum plus the step of r. A value up
+        to memo_bound is read through its image, which is in Im; above
+        memo_bound every image is smaller than its value, so it is read
+        from the table, in one pass when the block's largest image is
+        below its base. Callers, smallest_runs and density's packed
+        path, bound upper. An index past 255 raises ValueError as the
+        table is kept.
         """
-        covered = min(upper, self.memo_bound)
+        _need_ints(upper=upper)
+        if upper < 1:
+            return [-1]
+        kept = self._table
+        if upper < len(kept):
+            table = list(kept[:upper + 1])
+            table[0] = -1
+            return table
         e, index, low = self.e, self._index, _low_sums(self.e)
-        table = [-1]
+        first = len(kept) // _LOW
+        table = list(kept[:first * _LOW])
         append = table.append
-        for q, base in enumerate(range(0, upper + 1, _LOW)):
-            high = _high_sum(q, e)
+        for q in range(first, upper // _LOW + 1):
+            base, high = q * _LOW, _high_sum(q, e)
             end = min(_LOW, upper + 1 - base)
             if high + low[-1] < base:  # every image is in an earlier block
                 table += [table[high + s] for s in low[:end]]
                 continue
             start = 0 if base else 1
-            split = max(start, min(end, covered + 1 - base))
+            table += [0] * start  # block 0's entry 0, which callers see as -1
+            split = max(start, min(end, self.memo_bound + 1 - base))
             table += [index[high + s] for s in low[start:split]]
             for s in low[split:end]:
                 append(table[high + s])
+        self._table = bytearray(table)
+        table[0] = -1
         return table
 
 

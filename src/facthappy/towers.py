@@ -136,7 +136,8 @@ class SequenceCertificate:
     steps_by_index[i] is the exact step count of chain + i, r symbolic
     peels then the concrete tail, and every replay of i demands it. Its
     keys must be exactly 1..m: the first missing or extra index raises
-    ValueError, and so does a step count that is not an int.
+    ValueError, and so do a step count that is not an int and a negative
+    t, r or offset.
     """
 
     e: int
@@ -150,6 +151,10 @@ class SequenceCertificate:
     def __post_init__(self) -> None:
         _need_ints(e=self.e, p=self.p, m=self.m, t=self.t, r=self.r,
                    offset=self.offset)
+        for name, value in (("t", self.t), ("r", self.r),
+                            ("offset", self.offset)):
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         for i in range(1, self.m + 1):
             if i not in self.steps_by_index:
                 raise ValueError(f"steps_by_index has no index {i}")

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -11,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     _density_path, _step_images, index_table, loop_natural, loop_step)
 from facthappy import dynamics
-from facthappy.analysis import density
+from facthappy.analysis import density, smallest_runs
 from facthappy.dynamics import (
     DENSITY_WORK_LIMIT,
     EXPONENT_LIMIT,
     Attractor,
+    AttractorAtlas,
     CertificationError,
     DescentBound,
     OrbitCapError,
@@ -347,6 +350,121 @@ def test_extended_index_table_one_pass_blocks(e, atlas):
     table = at.extended_index_table(first + 2 * block)
     for n in range(max(1, first - block), first + 2 * block + 1):
         assert table[n] == at.attractor_index(n)
+
+
+def _fresh(at):
+    """An atlas with at's classification and no kept index table yet."""
+    return AttractorAtlas(at.e, at.bound, at.memo_bound, at.attractors,
+                          at._index, at._steps)
+
+
+_BLOCK_EDGES = [k * math.factorial(7) + d
+                for k in range(1, 60) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("e", range(2, 7))
+@settings(max_examples=25, deadline=None)
+@given(uppers=st.lists(st.one_of(st.integers(-3, 0), st.integers(1, 3 * 10 ** 5),
+                                 st.sampled_from(_BLOCK_EDGES)),
+                       min_size=1, max_size=8))
+def test_kept_table_matches_definition_table(e, atlas, uppers):
+    # Uppers that grow, shrink, repeat and cross 7!-block edges, on one
+    # atlas: each call returns what a table built for it alone would.
+    at = _fresh(atlas(e))
+    for upper in uppers:
+        expected = [-1] if upper < 1 else index_table(at, upper)[:upper + 1]
+        assert at.extended_index_table(upper) == expected
+
+
+def test_kept_table_is_not_the_returned_list(atlas):
+    at = _fresh(atlas(5))
+    first = at.extended_index_table(6000)
+    expected = list(first)
+    first[1:] = [7] * 6000
+    first.append(3)
+    assert at.extended_index_table(6000) == expected
+    assert at.extended_index_table(5000) == expected[:5001]
+
+
+def test_covered_upper_builds_nothing(atlas, monkeypatch):
+    calls = []
+    high_sum = dynamics._high_sum
+    monkeypatch.setattr(dynamics, "_high_sum",
+                        lambda q, e: calls.append(q) or high_sum(q, e))
+    at = _fresh(atlas(4))
+    at.extended_index_table(3 * math.factorial(7) - 1)
+    assert calls == [0, 1, 2]
+    calls.clear()
+    for upper in (3 * math.factorial(7) - 1, 5040, 1, 0, -2):
+        at.extended_index_table(upper)
+    assert calls == []
+    at.extended_index_table(3 * math.factorial(7))  # one block past the end
+    assert calls == [3]
+    calls.clear()
+    at.extended_index_table(4 * math.factorial(7) + 10)  # resumes at block 3
+    assert calls == [3, 4]
+
+
+def test_kept_table_shared_by_threads(atlas):
+    # Threads that grow one atlas's table at once may each build and
+    # publish; whichever table is kept, every call returns its own list.
+    at = _fresh(atlas(5))
+    expected = index_table(at, 60_000)
+    uppers = [5039, 60_000, 5040, 30_000, 1, 45_000, 10_080, 59_999]
+    failures = []
+
+    def reader(k):
+        for upper in uppers[k:] + uppers[:k]:
+            if at.extended_index_table(upper) != expected[:upper + 1]:
+                failures.append((k, upper))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_kept_table_refuses_an_index_past_a_byte(atlas):
+    # Every atlas the work limit admits has at most 14 attractors; an
+    # index past 255 raises rather than wraps.
+    at = atlas(2)
+    many = tuple(Attractor.fixed_point(p) for p in range(1, 258))
+    wide = AttractorAtlas(2, at.bound, at.memo_bound, many,
+                          dict.fromkeys(at._index, 256), at._steps)
+    with pytest.raises(ValueError, match=r"range\(0, 256\)"):
+        wide.extended_index_table(10)
+    assert not wide._table
+
+
+# The census workload's run sweeps (e, m_max, search cap), each beside a
+# density over [1, 10! - 1] at the same exponent; at e <= 4 both read
+# the index table.
+_CENSUS_PAIRS = ((2, 11, 10 ** 4), (3, 41, 10 ** 4), (4, 602, 10 ** 4),
+                 (5, 10, 800_000))
+
+
+@pytest.mark.parametrize("e, m_max, cap", _CENSUS_PAIRS)
+def test_density_and_runs_agree_on_a_shared_atlas(e, m_max, cap, atlas):
+    upper = math.factorial(10) - 1
+
+    def runs(at):
+        return smallest_runs(e, 1, m_max, at, search_cap=cap)
+
+    alone = density(e, upper, _fresh(atlas(e))), runs(_fresh(atlas(e)))
+    shared = _fresh(atlas(e))
+    assert (density(e, upper, shared), runs(shared)) == alone
+    shared = _fresh(atlas(e))
+    assert runs(shared) == alone[1]
+    assert density(e, upper, shared) == alone[0]
+    assert (density(e, upper, shared), runs(shared)) == alone
 
 
 @pytest.mark.parametrize("e", range(1, 7))

@@ -229,6 +229,21 @@ def test_replay_materialize_and_certificate_refuse_non_ints(call, text, atlas):
     assert _refused(lambda: call(atlas)) == (ValueError, text)
 
 
+@pytest.mark.parametrize("fields, text", [
+    ({"t": 0, "r": -2, "offset": 20, "steps_by_index": {1: 1}},
+     "r must be nonnegative, got -2"),
+    ({"t": -1, "r": 0, "offset": 20, "steps_by_index": {1: 3}},
+     "t must be nonnegative, got -1"),
+    ({"t": 0, "r": 0, "offset": -20, "steps_by_index": {1: 3}},
+     "offset must be nonnegative, got -20"),
+], ids=["negative r", "negative t", "negative offset"])
+def test_certificate_refuses_negative_fields(fields, text):
+    # Unchecked, r = -2 replayed 20 + 1 as 1 step to p = 1 (21 takes 3
+    # at e = 2), and t = -1 replayed and then broke certificate_to_json.
+    assert _refused(lambda: SequenceCertificate(e=2, p=1, m=1, **fields)) == (
+        ValueError, text)
+
+
 def test_additivity_check_refuses_values_out_of_range():
     for args in ((0, 1, 3), (2, -1, 3), (2, 1, -3)):
         assert _refused(lambda: additivity_check(*args, 2)) == (

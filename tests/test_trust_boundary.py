@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import is_factoradic, loop_add, loop_digits
-from facthappy.dynamics import step_sum_tally
+from facthappy.dynamics import enumerate_attractors, step_sum_tally
 from facthappy.factoradic import (
     ZERO, FactoradicRep, MalformedRepresentationError, add, digit_count, parse,
     shift, to_factoradic, to_natural)
@@ -134,11 +134,21 @@ def test_step_sum_tally_refuses_a_negative_upper():
     (lambda: add(to_factoradic(3), -1), "addend must be nonnegative, got -1"),
     (lambda: shift(to_factoradic(5), True), "t must be an int, got True"),
     (lambda: shift(ZERO, 2.5), "t must be an int, got 2.5"),
+    (lambda: enumerate_attractors(2).lookup(2.5), "n must be an int, got 2.5"),
+    (lambda: enumerate_attractors(2).lookup(True), "n must be an int, got True"),
+    (lambda: enumerate_attractors(2).attractor_index(3.0),
+     "n must be an int, got 3.0"),
+    (lambda: enumerate_attractors(2).extended_index_table(True),
+     "upper must be an int, got True"),
+    (lambda: enumerate_attractors(2).extended_index_table(Fraction(10)),
+     "upper must be an int, got Fraction(10, 1)"),
 ], ids=["float", "Fraction", "integral float", "bool", "str", "negative",
         "digit_count float", "digit_count Fraction",
         "digit_count integral float", "digit_count bool", "digit_count negative",
         "add float", "add Fraction", "add integral Fraction", "add bool",
-        "add negative", "shift bool", "shift float"])
+        "add negative", "shift bool", "shift float", "lookup float",
+        "lookup bool", "attractor_index integral float",
+        "extended_index_table bool", "extended_index_table Fraction"])
 def test_non_int_values_are_refused(call, text):
     # An integer must be an int: a bool, though an int subclass, would
     # be read as 0 or 1, and an integral float or Fraction as its value.
