@@ -85,14 +85,15 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
     search above the trivial fixed point 1; pass 1 for the full search.
     With best the longest run found, every longer run from n on holds
     one of n + best, n + 2 * best + 1, ...; a hit is widened to its run.
-    The atlas's index table covers min(cap, step_image_bound(e, cap));
-    a larger n is read through its step, its 7!-block's high sum plus a
-    low-digit sum.
+    Entries 1..top of the atlas's index table are read, top =
+    min(cap, step_image_bound(e, cap)); a larger n is read through its
+    step, its 7!-block's high sum plus a low-digit sum.
     A search_cap over DEFAULT_SEARCH_CAP or below search_floor raises
     ValueError before the table is built. Unresolved lengths are
     reported by a RunSearch with complete=False rather than an error.
     """
-    _need_ints(p=p, m_max=m_max, search_floor=search_floor)
+    _need_ints(p=p, m_max=m_max, search_floor=search_floor,
+               search_cap=search_cap)
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if search_floor not in (1, 2):
@@ -156,10 +157,12 @@ def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     The n are counted by step value. Dense step sums (top + 1 <=
     _DENSE_RATIO * Catalan(k + 1), top the largest sum of k digits, k
     upper's digit count): one pass over _packed_tally's slots 1..top and
-    atlas.extended_index_table(top). Sparse: atlas.totals over the keys
-    of step_sum_tally. Either tally raises ValueError before any work
-    when it could exceed DENSITY_WORK_LIMIT dictionary updates.
+    the same entries of atlas.extended_index_table(top). Sparse:
+    atlas.totals over the keys of step_sum_tally. Either tally raises
+    ValueError before any work when it could exceed DENSITY_WORK_LIMIT
+    dictionary updates.
     """
+    _need_ints(upper=upper)
     if upper < 1:
         raise ValueError(f"interval end must be positive, got {upper}")
     if atlas.e != e:

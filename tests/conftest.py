@@ -225,7 +225,7 @@ def _density_path(monkeypatch, e, upper):
                         lambda *args: calls.append("dict") or {0: 1})
     stub = SimpleNamespace(
         e=e, attractors=(),
-        extended_index_table=lambda top: calls.append("table") or [-1],
+        extended_index_table=lambda top: calls.append("table") or bytes(1),
         totals=lambda tally: calls.append("totals") or [])
     assert analysis.density(e, upper, stub).counts == {}
     return next((path for path, run in _PATHS.items() if run == calls), calls)

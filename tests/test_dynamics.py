@@ -311,7 +311,9 @@ def test_extended_index_table_matches_attractor_index(e, atlas):
         uppers.update(at.memo_bound + d for d in (-1, 0, 1))
     expected = [-1] + [at.attractor_index(n) for n in range(1, max(uppers) + 1)]
     for upper in sorted(uppers):
-        assert at.extended_index_table(upper) == expected[:upper + 1]
+        table = at.extended_index_table(upper)
+        assert len(table) > upper
+        assert list(table[1:upper + 1]) == expected[1:upper + 1]
 
 
 @pytest.mark.parametrize("e", range(1, 9))
@@ -320,7 +322,9 @@ def test_extended_index_table_matches_definition_table(e, atlas):
     # any larger n at S(n), streamed by the factoradic counter.
     at = atlas(e)
     upper = 3 * 10 ** 5 if e <= 6 else 2 * 10 ** 4
-    assert at.extended_index_table(upper) == index_table(at, upper)[:upper + 1]
+    table = at.extended_index_table(upper)
+    assert len(table) > upper
+    assert list(table[1:upper + 1]) == index_table(at, upper)[1:upper + 1]
 
 
 def test_high_sum_matches_definition():
@@ -369,21 +373,28 @@ _BLOCK_EDGES = [k * math.factorial(7) + d
                        min_size=1, max_size=8))
 def test_kept_table_matches_definition_table(e, atlas, uppers):
     # Uppers that grow, shrink, repeat and cross 7!-block edges, on one
-    # atlas: each call returns what a table built for it alone would.
+    # atlas: each call's entries 1..upper are what a table built for it
+    # alone would hold.
     at = _fresh(atlas(e))
     for upper in uppers:
-        expected = [-1] if upper < 1 else index_table(at, upper)[:upper + 1]
-        assert at.extended_index_table(upper) == expected
+        table, top = at.extended_index_table(upper), max(upper, 0)
+        assert len(table) > top
+        assert list(table[1:top + 1]) == index_table(at, top)[1:top + 1]
 
 
-def test_kept_table_is_not_the_returned_list(atlas):
+def test_kept_table_is_returned_as_immutable_bytes(atlas):
+    # The kept table itself is handed out: no caller can write to it, and
+    # a covered upper returns the very object, however far short it falls.
     at = _fresh(atlas(5))
-    first = at.extended_index_table(6000)
-    expected = list(first)
-    first[1:] = [7] * 6000
-    first.append(3)
-    assert at.extended_index_table(6000) == expected
-    assert at.extended_index_table(5000) == expected[:5001]
+    table = at.extended_index_table(6000)
+    assert type(table) is bytes
+    with pytest.raises(TypeError):
+        table[1] = 7
+    for upper in (6000, 5000, 1, 0, -2):
+        assert at.extended_index_table(upper) is table
+    grown = at.extended_index_table(12_000)
+    assert grown is not table and grown[:5040] == table[:5040]
+    assert at.extended_index_table(6000) is grown
 
 
 def test_covered_upper_builds_nothing(atlas, monkeypatch):
@@ -407,7 +418,8 @@ def test_covered_upper_builds_nothing(atlas, monkeypatch):
 
 def test_kept_table_shared_by_threads(atlas):
     # Threads that grow one atlas's table at once may each build and
-    # publish; whichever table is kept, every call returns its own list.
+    # publish; whichever table is kept, every call's entries 1..upper
+    # are right.
     at = _fresh(atlas(5))
     expected = index_table(at, 60_000)
     uppers = [5039, 60_000, 5040, 30_000, 1, 45_000, 10_080, 59_999]
@@ -415,7 +427,9 @@ def test_kept_table_shared_by_threads(atlas):
 
     def reader(k):
         for upper in uppers[k:] + uppers[:k]:
-            if at.extended_index_table(upper) != expected[:upper + 1]:
+            table = at.extended_index_table(upper)
+            if len(table) <= upper or \
+                    list(table[1:upper + 1]) != expected[1:upper + 1]:
                 failures.append((k, upper))
 
     interval = sys.getswitchinterval()
@@ -439,9 +453,10 @@ def test_kept_table_refuses_an_index_past_a_byte(atlas):
     many = tuple(Attractor.fixed_point(p) for p in range(1, 258))
     wide = AttractorAtlas(2, at.bound, at.memo_bound, many,
                           dict.fromkeys(at._index, 256), at._steps)
+    kept = wide._table
     with pytest.raises(ValueError, match=r"range\(0, 256\)"):
         wide.extended_index_table(10)
-    assert not wide._table
+    assert wide._table is kept and kept == bytes(1)
 
 
 # The census workload's run sweeps (e, m_max, search cap), each beside a
@@ -710,11 +725,11 @@ def test_slot_classification_matches_totals(atlas):
         assert list(density(e, upper, at).counts.values()) == \
             at.totals(tally), (e, upper)
     # At k! - 1 every digit is maximal, so the largest step sum, the last
-    # slot, is the table's last entry.
+    # slot, is top, which the table covers.
     for e in (2, 3, 4):
         top = step_image_bound(e, f10 - 1)
         assert len(_packed_tally(e, f10 - 1)) == top + 1
-        assert len(atlas(e).extended_index_table(top)) == top + 1
+        assert len(atlas(e).extended_index_table(top)) > top
 
 
 @pytest.mark.parametrize("e", range(1, 9))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import is_factoradic, loop_add, loop_digits
+from facthappy.analysis import density, smallest_runs
 from facthappy.dynamics import enumerate_attractors, step_sum_tally
 from facthappy.factoradic import (
     ZERO, FactoradicRep, MalformedRepresentationError, add, digit_count, parse,
@@ -142,13 +143,23 @@ def test_step_sum_tally_refuses_a_negative_upper():
      "upper must be an int, got True"),
     (lambda: enumerate_attractors(2).extended_index_table(Fraction(10)),
      "upper must be an int, got Fraction(10, 1)"),
+    (lambda: smallest_runs(2, 1, 3, enumerate_attractors(2), search_cap=2.5),
+     "search_cap must be an int, got 2.5"),
+    (lambda: smallest_runs(2, 1, 3, enumerate_attractors(2), search_cap=True),
+     "search_cap must be an int, got True"),
+    (lambda: density(2, 2.5, enumerate_attractors(2)),
+     "upper must be an int, got 2.5"),
+    (lambda: density(2, True, enumerate_attractors(2)),
+     "upper must be an int, got True"),
 ], ids=["float", "Fraction", "integral float", "bool", "str", "negative",
         "digit_count float", "digit_count Fraction",
         "digit_count integral float", "digit_count bool", "digit_count negative",
         "add float", "add Fraction", "add integral Fraction", "add bool",
         "add negative", "shift bool", "shift float", "lookup float",
         "lookup bool", "attractor_index integral float",
-        "extended_index_table bool", "extended_index_table Fraction"])
+        "extended_index_table bool", "extended_index_table Fraction",
+        "smallest_runs float", "smallest_runs bool", "density float",
+        "density bool"])
 def test_non_int_values_are_refused(call, text):
     # An integer must be an int: a bool, though an int subclass, would
     # be read as 0 or 1, and an integral float or Fraction as its value.
