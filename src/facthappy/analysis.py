@@ -9,7 +9,7 @@ value, and the atlas classifies them, dense ones by such a table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -24,10 +24,16 @@ if TYPE_CHECKING:
 # Largest search_cap smallest_runs accepts: its table holds one entry
 # per value up to the cap or, if smaller, the cap's step image bound.
 DEFAULT_SEARCH_CAP = 10 ** 6
-# density packs when top + 1 <= this * Catalan(k + 1). At k! - 1 the
-# whole packed call, tally and classification, took 0.5-0.67 of the dict
-# path's time at ratios 3.27-3.76, and 1.07-1.3 of it at 5.31 and 7.19.
-_DENSE_RATIO = 4
+# density packs when memo_bound < top and top + 1 <= this * Catalan(k + 1),
+# the form whose whole call was faster on a fresh atlas (cold) at (k+1)! - 1.
+# Up to memo_bound every table entry is an atlas dict read. Packed over dict
+# time, cold / warm (a later call on the same atlas), where the form differs
+# from the ratio-4 rule alone: e = 5, k = 9 (ratio 7.19) packs, 0.77 / 0.56;
+# the dict serves upper = 1 at e = 1..8, 1.22-1.53 / 1.08-1.18, e = 1, k = 2,
+# 1.27 / 1.06, e = 2, k = 2 and 3, 1.30 / 1.08 and 1.08 / 0.88, e = 3,
+# k = 2, 3 and 4, 1.34 / 1.10, 1.28 / 1.00 and 1.05 / 0.78, and e = 4, k = 2,
+# 1.48 / 1.12 (11-36 us a call). e = 6, k = 12 (9.07) took 1.06 cold.
+_DENSE_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -154,13 +160,13 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
 def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     """Tally every n in [1, upper] by attractor, exactly, without a scan.
 
-    The n are counted by step value. Dense step sums (top + 1 <=
-    _DENSE_RATIO * Catalan(k + 1), top the largest sum of k digits, k
-    upper's digit count): one pass over _packed_tally's slots 1..top and
-    the same entries of atlas.extended_index_table(top). Sparse:
-    atlas.totals over the keys of step_sum_tally. Either tally raises
-    ValueError before any work when it could exceed DENSITY_WORK_LIMIT
-    dictionary updates.
+    The n are counted by step value. Dense step sums (top, the largest
+    sum of upper's k digits, above atlas.memo_bound, and top + 1 <=
+    _DENSE_RATIO * Catalan(k + 1)): one pass over the nonzero slots among
+    _packed_tally's slots 1..top, each beside its entry of
+    atlas.extended_index_table(top). Otherwise atlas.totals over the
+    keys of step_sum_tally. Either tally raises ValueError before any
+    work when it could exceed DENSITY_WORK_LIMIT dictionary updates.
     """
     _need_ints(upper=upper)
     if upper < 1:
@@ -169,7 +175,8 @@ def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
     k = digit_count(upper)
     top = sum(i ** e for i in range(1, k + 1))
-    if top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2):
+    if top <= atlas.memo_bound or \
+            top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2):
         tally = step_sum_tally(e, upper)
         del tally[0]  # n = 0
         totals = atlas.totals(tally)
@@ -177,7 +184,7 @@ def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
         slots = _packed_tally(e, upper)[1:]  # slot 0 is n = 0
         table = atlas.extended_index_table(top)  # after the DP's peak memory
         totals = [0] * len(atlas.attractors)
-        for a, c in zip(islice(table, 1, None), slots):
+        for a, c in compress(zip(islice(table, 1, None), slots), slots):
             totals[a] += c
     from fractions import Fraction
     counts = dict(zip(atlas.attractors, totals))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
+from operator import itemgetter
 
 from .factoradic import (
     ComputationError, FactoradicRep, _need_ints, _split_digits, digit_count)
@@ -417,30 +418,34 @@ class AttractorAtlas:
         values the table does not hold whole, and the grown table
         replaces it whole. A block's values share their digits from the
         7! place up, so the step of base + r is the block's high sum
-        plus the step of r. A value up to memo_bound is read through its
-        image, which is in Im; above memo_bound every image is smaller
-        than its value, so it is read from the table, in one pass when
-        the block's largest image is below its base. Callers,
-        smallest_runs and density's packed path, bound upper. An index
-        past 255 raises ValueError and leaves the kept table as it was.
+        plus the step of r. A whole block whose largest image is below
+        its base is one C-level gather of the low sums from the table's
+        slice at the block's high sum. In any other block a value up to
+        memo_bound is read through its image, which is in Im, and a
+        larger one from the table, since its image is smaller. The fill
+        grows a bytearray, one byte per value, copied once into the kept
+        bytes. Callers, smallest_runs and density's packed path, bound
+        upper. An index past 255 raises ValueError and leaves the kept
+        table as it was.
         """
         _need_ints(upper=upper)
         kept = self._table
         if upper < len(kept):
             return kept
         e, index, low = self.e, self._index, _low_sums(self.e)
+        gather = itemgetter(*low)
         first = len(kept) // _LOW
-        table = list(kept[:max(1, first * _LOW)])
+        table = bytearray(kept[:max(1, first * _LOW)])
         append = table.append
         for q in range(first, upper // _LOW + 1):
             base, high = q * _LOW, _high_sum(q, e)
             end = min(_LOW, upper + 1 - base)
-            if high + low[-1] < base:  # every image is in an earlier block
-                table += [table[high + s] for s in low[:end]]
+            if end == _LOW and high + low[-1] < base:  # images all earlier
+                table.extend(gather(table[high:high + low[-1] + 1]))
                 continue
             start = len(table) - base  # 1 in block 0, past its unused entry
             split = max(start, min(end, self.memo_bound + 1 - base))
-            table += [index[high + s] for s in low[start:split]]
+            table.extend([index[high + s] for s in low[start:split]])
             for s in low[split:end]:
                 append(table[high + s])
         self._table = table = bytes(table)

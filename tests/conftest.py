@@ -7,7 +7,8 @@ import pytest
 
 from facthappy import analysis, enumerate_attractors
 from facthappy.analysis import DensityReport, RunRecord, RunSearch
-from facthappy.dynamics import Attractor, happy_step_nat, step_image_bound
+from facthappy.dynamics import (
+    Attractor, descent_bound, happy_step_nat, step_image_bound)
 from facthappy.factoradic import digit_count, to_factoradic
 
 _ATLASES = {}
@@ -225,6 +226,7 @@ def _density_path(monkeypatch, e, upper):
                         lambda *args: calls.append("dict") or {0: 1})
     stub = SimpleNamespace(
         e=e, attractors=(),
+        memo_bound=step_image_bound(e, descent_bound(e).bound),
         extended_index_table=lambda top: calls.append("table") or bytes(1),
         totals=lambda tally: calls.append("totals") or [])
     assert analysis.density(e, upper, stub).counts == {}

@@ -4,11 +4,12 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     _density_path, _step_images, index_table, loop_natural, loop_step)
@@ -366,20 +367,53 @@ _BLOCK_EDGES = [k * math.factorial(7) + d
                 for k in range(1, 60) for d in (-1, 0, 1)]
 
 
+def _gather_edges(e):
+    """Uppers at and inside the 7!-blocks where the one-gather fill starts
+    or stops at e (its largest image drops below the block's base, or
+    rises past it again), up to block 72."""
+    block, low = math.factorial(7), dynamics._low_sums(e)
+    gathers = [_high_sum(q, e) + low[-1] < q * block for q in range(73)]
+    return [q * block + d for q in range(1, 73) if gathers[q] != gathers[q - 1]
+            for d in (-1, 0, 1, block // 2, block - 2, block - 1)]
+
+
+_GATHER_EDGES = sorted({n for e in range(2, 7) for n in _gather_edges(e)})
+
+
 @pytest.mark.parametrize("e", range(2, 7))
 @settings(max_examples=25, deadline=None)
 @given(uppers=st.lists(st.one_of(st.integers(-3, 0), st.integers(1, 3 * 10 ** 5),
-                                 st.sampled_from(_BLOCK_EDGES)),
+                                 st.sampled_from(_BLOCK_EDGES),
+                                 st.sampled_from(_GATHER_EDGES)),
                        min_size=1, max_size=8))
+@example(uppers=_GATHER_EDGES)  # each call resumes a kept table ending mid-block
+@example(uppers=[n - 1 for n in _GATHER_EDGES[::-1]])  # one build, then reads
 def test_kept_table_matches_definition_table(e, atlas, uppers):
     # Uppers that grow, shrink, repeat and cross 7!-block edges, on one
     # atlas: each call's entries 1..upper are what a table built for it
-    # alone would hold.
+    # alone would hold. The examples walk every block edge where the
+    # one-gather fill starts or stops at e = 2..6, a partial last block
+    # on each side of those edges, and fills that resume in mid-block.
     at = _fresh(atlas(e))
     for upper in uppers:
         table, top = at.extended_index_table(upper), max(upper, 0)
         assert len(table) > top
         assert list(table[1:top + 1]) == index_table(at, top)[1:top + 1]
+
+
+def test_table_fill_peaks_near_one_byte_per_entry(atlas):
+    # runs --e 6 at the default cap fills entries 1..978,405: a bytearray
+    # grown in place and copied once into the kept bytes, no list of
+    # pointers (8 bytes per entry) on the way.
+    at, upper = _fresh(atlas(6)), 978_405
+    tracemalloc.start()
+    try:
+        table = at.extended_index_table(upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > upper
+    assert peak < 3 * upper, peak
 
 
 def test_kept_table_is_returned_as_immutable_bytes(atlas):
@@ -690,19 +724,38 @@ def test_packed_tally_at_slot_width_edges(width):
 
 def test_density_path_for_census_and_boundary_inputs(monkeypatch):
     f10 = math.factorial(10)
-    for e in (2, 3, 4):
+    for e in (2, 3, 4, 5):
         assert _density_path(monkeypatch, e, f10 - 1) == "packed"
-    for e in (5, 6):
-        assert _density_path(monkeypatch, e, f10 - 1) == "dict"
+    assert _density_path(monkeypatch, 6, f10 - 1) == "dict"
     # The seeded census bounds lie within 1% below a share of 10! - 1.
-    for e, share, path in ((4, 0.25, "packed"), (5, 0.5, "dict"),
+    for e, share, path in ((4, 0.25, "packed"), (5, 0.5, "packed"),
                            (6, 0.75, "dict")):
         for upper in (int((f10 - 1) * share) - (f10 - 1) // 100,
                       int((f10 - 1) * share)):
             assert _density_path(monkeypatch, e, upper) == path
-    for e, k, path in ((5, 10, "dict"), (5, 11, "packed"), (5, 14, "packed"),
-                       (6, 13, "dict"), (4, 10, "packed")):
+    for e, k, path in ((5, 10, "packed"), (5, 9, "dict"), (5, 11, "packed"),
+                       (5, 14, "packed"), (6, 13, "dict"), (4, 10, "packed")):
         assert _density_path(monkeypatch, e, math.factorial(k) - 1) == path
+
+
+# The least digit count density packs at, per exponent: below it top is
+# at most memo_bound, or over _DENSE_RATIO times Catalan(k + 1) (e = 5 at
+# k = 8); e >= 6 never packs within the work limit.
+_FIRST_PACKED = {1: 3, 2: 4, 3: 5, 4: 7, 5: 9}
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_density_path_at_each_digit_count(e, monkeypatch):
+    # Both ends of each digit count k, k! and (k+1)! - 1, take one form;
+    # the whole calls at the small k this keeps on the dictionary were
+    # slower packed (upper = 1, e = 4 at 3! - 1, e = 3 at 5! - 1).
+    first = _FIRST_PACKED.get(e, math.inf)
+    for k in range(1, 200):
+        if _density_work(e, k) > DENSITY_WORK_LIMIT:
+            break
+        path = "packed" if k >= first else "dict"
+        for upper in (math.factorial(k), math.factorial(k + 1) - 1):
+            assert _density_path(monkeypatch, e, upper) == path, (k, upper)
 
 
 def test_slot_classification_matches_totals(atlas):
