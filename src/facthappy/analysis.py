@@ -1,9 +1,10 @@
 """Interval tallies: smallest consecutive runs and attractor densities.
 
-A run search reads an attractor-index table that covers every one-step
-image of the searched interval. A density tally never visits the values
-themselves: the step-sum digit DP of dynamics counts them by step
-value, and the atlas classifies them, dense ones by such a table.
+A run search finds runs of the target's byte in the atlas's
+attractor-index table by C-level bytes.find. A density tally never
+visits the values themselves: the step-sum digit DP of dynamics counts
+them by step value, and the atlas classifies them, dense ones by that
+table.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .dynamics import (
-    _LOW, Attractor, AttractorAtlas, _high_sum, _low_sums, _packed_tally,
-    classify, happy_step_nat, step_image_bound, step_sum_tally)
+    _LOW, Attractor, AttractorAtlas, _check_exponent, _packed_tally, classify,
+    happy_step_nat, step_sum_tally)
 from .factoradic import _need_ints, digit_count
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Largest search_cap smallest_runs accepts: its table holds one entry
-# per value up to the cap or, if smaller, the cap's step image bound.
+# Largest search_cap smallest_runs accepts: a search that needs a value
+# past 7! grows its table to the cap, one byte per value, at most 1 MB.
 DEFAULT_SEARCH_CAP = 10 ** 6
 # density packs when memo_bound < top and top + 1 <= this * Catalan(k + 1),
 # the form whose whole call was faster on a fresh atlas (cold) at (k+1)! - 1.
@@ -85,19 +86,22 @@ def is_p_happy(n: int, e: int, p: int, atlas: AttractorAtlas | None = None) -> b
 def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
                   search_floor: int = 2,
                   search_cap: int = DEFAULT_SEARCH_CAP) -> RunSearch:
-    """Least start of each run length 1..m_max, by stride probes.
+    """Least start of each run length 1..m_max, by byte searches.
 
     The default floor of 2 matches the usual convention of starting the
     search above the trivial fixed point 1; pass 1 for the full search.
-    With best the longest run found, every longer run from n on holds
-    one of n + best, n + 2 * best + 1, ...; a hit is widened to its run.
-    Entries 1..top of the atlas's index table are read, top =
-    min(cap, step_image_bound(e, cap)); a larger n is read through its
-    step, its 7!-block's high sum plus a low-digit sum.
-    A search_cap over DEFAULT_SEARCH_CAP or below search_floor raises
-    ValueError before the table is built. Unresolved lengths are
-    reported by a RunSearch with complete=False rather than an error.
+    With best the longest run found, the least start of a longer one is
+    the first match of best + 1 target bytes in the atlas's index table
+    (bytes.find); its length is the count of target bytes it leads.
+    The table is asked for [1, min(cap, 7!)] or the longer one the atlas
+    keeps, and grows once, to the cap, when the search needs a value
+    past its end.
+    A non-int exponent, a search_cap over DEFAULT_SEARCH_CAP or below
+    search_floor raises ValueError before the table is built. Unresolved
+    lengths are reported by a RunSearch with complete=False rather than
+    an error.
     """
+    _check_exponent(e)
     _need_ints(p=p, m_max=m_max, search_floor=search_floor,
                search_cap=search_cap)
     if m_max < 1:
@@ -114,42 +118,23 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
                          f"floor {search_floor}")
     if p not in atlas.fixed_points:
         raise ValueError(f"{p} is not a fixed point for e={atlas.e}")
-    target = atlas.fixed_points.index(p)  # fixed points lead atlas.attractors
-    top = min(search_cap, step_image_bound(e, search_cap))
-    table = atlas.extended_index_table(top)
-    low = _low_sums(e)
-    high = [_high_sum(q, e) for q in range(search_cap // _LOW + 1)]
-
-    def hit(n: int) -> bool:  # n and its step share their attractor
-        v = n if n <= top else high[n // _LOW] + low[n % _LOW]
-        return table[v] == target
-
+    hit = bytes([atlas.fixed_points.index(p)])  # they lead atlas.attractors
+    table = atlas.extended_index_table(min(search_cap, _LOW))
     starts: dict[int, int] = {}
     best, n = 0, search_floor  # no run below n is longer than best
     while best < m_max:
-        q, stride = n + best, best + 1
-        while q <= top and table[q] != target:
-            q += stride
-        while top < q <= search_cap:  # read through the step, block by block
-            base, r = q - q % _LOW, q % _LOW
-            h, stop = high[base // _LOW], min(_LOW, search_cap + 1 - base)
-            while r < stop and table[h + low[r]] != target:
-                r += stride
-            q = base + r
-            if r < stop:
-                break
-        if q > search_cap:
+        start = table.find(hit * (best + 1), n, search_cap + 1)
+        if start < 0 and len(table) > search_cap:
             break
-        start = end = q
-        while start > n and hit(start - 1):
-            start -= 1
         last = min(search_cap, start + m_max - 1)
-        while end < last and hit(end + 1):
-            end += 1
-        for m in range(best + 1, end - start + 2):
+        w = table[start:last + 1]  # read only when start >= 0
+        length = len(w) - len(w.lstrip(hit))
+        if start < 0 or start + length == len(table) <= last:
+            table = atlas.extended_index_table(search_cap)  # past its end
+            continue
+        for m in range(best + 1, length + 1):
             starts[m] = start
-        best = max(best, end - start + 1)
-        n = end + 2  # end + 1 is a miss
+        best, n = length, start + length + 1  # a miss, or past last
     records = tuple(RunRecord(e=e, p=p, m=m, start=starts[m])
                     for m in sorted(starts))
     return RunSearch(e=e, p=p, search_floor=search_floor,

@@ -17,7 +17,8 @@ from facthappy.analysis import (
     smallest_runs,
 )
 from facthappy.dynamics import (
-    Attractor, AttractorAtlas, WitnessError, happy_step_nat, step_image_bound)
+    Attractor, AttractorAtlas, WitnessError, enumerate_attractors,
+    happy_step_nat, step_image_bound)
 from facthappy.towers import nice_check
 
 
@@ -266,7 +267,8 @@ def test_smallest_runs_widens_a_run_across_a_block_edge(atlas, floor):
                 sweep_runs(2, 4, m_max, at, floor, cap)
 
 
-def test_smallest_runs_table_stops_at_image_bound(atlas, monkeypatch):
+def _record_uppers(monkeypatch):
+    """The upper of every extended_index_table call from here on."""
     asked = []
     extend = AttractorAtlas.extended_index_table
 
@@ -275,11 +277,67 @@ def test_smallest_runs_table_stops_at_image_bound(atlas, monkeypatch):
         return extend(self, upper)
 
     monkeypatch.setattr(AttractorAtlas, "extended_index_table", recording)
-    search = smallest_runs(5, 1, 10, atlas(5), search_cap=800_000)
+    return asked
+
+
+def test_smallest_runs_answered_in_the_first_block_builds_no_more(
+        monkeypatch):
+    # runs --e 6 --max-m 3 at the default cap: every answer lies below
+    # 7!, so a fresh atlas keeps no table past the first block.
+    at = enumerate_attractors(6)
+    asked = _record_uppers(monkeypatch)
+    search = smallest_runs(6, 1, 3, at)
+    assert search.complete
+    assert [r.start for r in search.records] == [2, 2, 6]
+    assert asked and max(asked) <= factorial(7)
+    assert len(at.extended_index_table(1)) <= factorial(7) + 1
+
+
+def test_smallest_runs_grows_the_table_to_the_cap_at_most(monkeypatch):
+    at = enumerate_attractors(5)
+    asked = _record_uppers(monkeypatch)
+    search = smallest_runs(5, 1, 10, at, search_cap=800_000)
     assert search.complete
     assert search.records[-1] == RunRecord(e=5, p=1, m=10, start=700_273)
-    assert step_image_bound(5, 800_000) == 120_825
-    assert asked and max(asked) <= 120_825
+    assert asked and max(asked) <= 800_000
+
+
+@pytest.mark.parametrize("e", range(2, 7))
+def test_smallest_runs_on_a_fresh_atlas_matches_sweep(atlas, e):
+    # Each search gets an atlas that keeps no table yet, so its table
+    # starts at the first 7! block and grows to the cap only when the
+    # search needs a value past that block. The sweep reads its own table.
+    at = atlas(e)
+    cases = [(p, floor, m_max, cap)
+             for p in at.fixed_points for floor in (1, 2)
+             for m_max in (3, 50)
+             for cap in (5039, 5040, 5041, 10079, 10080, 10081)]
+    # m_max above any run below the cap: the search runs to the cap
+    cases += [(p, floor, 10 ** 4 + 1, 10 ** 4)
+              for p in at.fixed_points for floor in (1, 2)]
+    if e == 3:  # 1-happy from 4,857 to 5,055: the run crosses 7!
+        cases += [(1, floor, m_max, cap) for floor in (1, 2)
+                  for m_max in (198, 199, 200) for cap in (5040, 10 ** 4)]
+    if e == 4:  # 1-happy from 4,714 to 5,655, after 2,097 to 3,603
+        cases += [(1, floor, m_max, 10 ** 4) for floor in (1, 2)
+                  for m_max in (942, 1507, 1508)]
+    for p, floor, m_max, cap in cases:
+        assert smallest_runs(e, p, m_max, enumerate_attractors(e),
+                             search_floor=floor, search_cap=cap) == \
+            sweep_runs(e, p, m_max, at, floor, cap), (p, floor, m_max, cap)
+
+
+@pytest.mark.parametrize("e, bad", ((2, 2.0), (1, True)))
+def test_non_integer_exponent_is_refused_before_any_table(atlas, monkeypatch,
+                                                          e, bad):
+    # bad == e, so the atlas check alone would pass it.
+    asked = _record_uppers(monkeypatch)
+    text = re.escape(f"exponent must be a positive integer, got {bad}") + "$"
+    with pytest.raises(ValueError, match=text):
+        smallest_runs(bad, 1, 3, atlas(e))
+    with pytest.raises(ValueError, match=text):
+        density(bad, 10, atlas(e))
+    assert asked == []
 
 
 def test_density_small_interval(atlas):
