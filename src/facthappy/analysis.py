@@ -29,11 +29,12 @@ DEFAULT_SEARCH_CAP = 10 ** 6
 # the form whose whole call was faster on a fresh atlas (cold) at (k+1)! - 1.
 # Up to memo_bound every table entry is an atlas dict read. Packed over dict
 # time, cold / warm (a later call on the same atlas), where the form differs
-# from the ratio-4 rule alone: e = 5, k = 9 (ratio 7.19) packs, 0.77 / 0.56;
+# from the ratio-4 rule alone: e = 5, k = 9 (ratio 7.19) packs, 0.76 / 0.55;
 # the dict serves upper = 1 at e = 1..8, 1.22-1.53 / 1.08-1.18, e = 1, k = 2,
 # 1.27 / 1.06, e = 2, k = 2 and 3, 1.30 / 1.08 and 1.08 / 0.88, e = 3,
 # k = 2, 3 and 4, 1.34 / 1.10, 1.28 / 1.00 and 1.05 / 0.78, and e = 4, k = 2,
-# 1.48 / 1.12 (11-36 us a call). e = 6, k = 12 (9.07) took 1.06 cold.
+# 1.48 / 1.12 (11-36 us a call). e = 6, k = 12 (9.07) took 0.78-0.88 cold,
+# but 1.04 as the first call of a fresh process.
 _DENSE_RATIO = 8
 
 

@@ -68,8 +68,8 @@ def happy_step_nat(n: int, e: int) -> int:
     a smaller one, _high_sum(n // 7!) plus its cached low-sum table entry.
     """
     _check_exponent(e)
-    if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n}")
+    if type(n) is not int or n < 0:  # a bool or a float is refused too
+        raise ValueError(f"expected a nonnegative integer, got {n!r}")
     if n.bit_length() > _TABLE_BITS:
         return sum(map(pow, _split_digits(n), repeat(e)))
     q, r = divmod(n, _LOW)
@@ -255,9 +255,11 @@ def _tally_dp(e: int, upper: int, one, copy, shift_add):
     upper has digit d, extends both: an n whose digit there is a < d
     has a free lower part, one whose digit is d continues the old tally.
     While every digit so far is maximal, tally is low. Over
-    DENSITY_WORK_LIMIT by _density_work it raises ValueError first.
+    DENSITY_WORK_LIMIT by _density_work, or given a non-int upper, it
+    raises ValueError first.
     """
     _check_exponent(e)
+    _need_ints(upper=upper)
     if upper < 0:
         raise ValueError(f"expected a nonnegative integer, got {upper}")
     digits = _split_digits(upper)
@@ -298,19 +300,28 @@ def _packed_tally(e: int, upper: int) -> memoryview | list[int]:
     """_tally_dp with the counts packed into one int.
 
     Slot s, w bits wide, holds the count of step sum s: a shift by a ** e
-    is << a ** e * w and a merge is +. A count is at most upper + 1 <
-    2 ** w, so no carry crosses a slot. Returns the count of every step
-    sum from 0 up to the largest one met, zeros included.
+    is << a ** e * w and a merge is +. A count is at most upper + 1, and
+    w is the fewest whole bytes that hold it (24 bits at 10! - 1), so no
+    carry crosses a slot. Returns the count of every step sum from 0 up
+    to the largest one met, zeros included: slots of 3, 5, 6 or 7 bytes
+    are widened to 4 or 8 for the one C-level cast, wider ones read one
+    by one.
     """
-    bits = (upper + 1).bit_length()
-    w = next((w for w in (8, 16, 32, 64) if bits <= w), -(-bits // 8) * 8)
+    step = -(-(upper + 1).bit_length() // 8)  # bytes per slot
+    w = 8 * step
     tally = _tally_dp(e, upper, 1, int, lambda a, b, by: a + (b << by * w))
-    size, step = -(-tally.bit_length() // w), w // 8
-    data = tally.to_bytes(size * step, "little")
-    if w <= 64 and sys.byteorder == "little":  # one C-level unpack
-        return memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[step])
-    return [int.from_bytes(data[j:j + step], "little")
-            for j in range(0, len(data), step)]
+    data = tally.to_bytes(-(-tally.bit_length() // w) * step, "little")
+    del tally  # freed before any widening copy is made
+    if step > 8 or sys.byteorder != "little":
+        return [int.from_bytes(data[j:j + step], "little")
+                for j in range(0, len(data), step)]
+    wide = 1 << (step - 1).bit_length()  # 1, 2, 4 or 8 bytes
+    if wide != step:
+        buf = bytearray(len(data) // step * wide)
+        for j in range(step):
+            buf[j::wide] = data[j::step]
+        data = buf
+    return memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[wide])
 
 
 @lru_cache(maxsize=_LOW_SUMS_KEPT)

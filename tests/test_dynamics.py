@@ -697,7 +697,8 @@ def test_density_tally_of_zero_and_one(e, atlas):
 @pytest.mark.parametrize("k, width", [(7, 8), (10, 16), (15, 32), (24, 64)])
 def test_packed_tally_counts_past_each_slot_width(k, width):
     # The largest count needs more than width bits, so its slot is wider:
-    # 16, 32 and 64 bits unpack in one cast, 80 bits slot by slot.
+    # 16 bits (7! - 1) unpack in one cast, 24 (10! - 1) and 48 (15! - 1)
+    # widened to 32 and 64 first, 80 (24! - 1) slot by slot.
     upper = math.factorial(k) - 1
     packed = _packed_dict(1, upper)
     assert packed == step_sum_tally(1, upper) == _shift_every_digit_tally(1, upper)
@@ -713,9 +714,11 @@ def test_packed_tally_wide_slots():
         _shift_every_digit_tally(2, upper)
 
 
-@pytest.mark.parametrize("width", (8, 16, 32, 64))
+@pytest.mark.parametrize("width", range(8, 80, 8))
 def test_packed_tally_at_slot_width_edges(width):
-    # 2 ** width - 2 is the last upper with width-bit slots.
+    # 2 ** width - 2 is the last upper with width-bit slots: 8, 16, 32 and
+    # 64 bits unpack in one cast, 24, 40, 48 and 56 are widened to 32 or
+    # 64 first, and 72 unpack slot by slot.
     for upper in (2 ** width - 2, 2 ** width - 1, 2 ** width):
         for e in (1, 2):
             assert _packed_dict(e, upper) == step_sum_tally(e, upper) == \

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import is_factoradic, loop_add, loop_digits
 from facthappy.analysis import density, smallest_runs
-from facthappy.dynamics import enumerate_attractors, step_sum_tally
+from facthappy.dynamics import (
+    enumerate_attractors, happy_step_nat, step_sum_tally)
 from facthappy.factoradic import (
     ZERO, FactoradicRep, MalformedRepresentationError, add, digit_count, parse,
     shift, to_factoradic, to_natural)
@@ -151,6 +152,11 @@ def test_step_sum_tally_refuses_a_negative_upper():
      "upper must be an int, got 2.5"),
     (lambda: density(2, True, enumerate_attractors(2)),
      "upper must be an int, got True"),
+    (lambda: step_sum_tally(2, 10.0), "upper must be an int, got 10.0"),
+    (lambda: step_sum_tally(2, True), "upper must be an int, got True"),
+    (lambda: happy_step_nat(2.0, 2), "expected a nonnegative integer, got 2.0"),
+    (lambda: happy_step_nat(True, 2),
+     "expected a nonnegative integer, got True"),
 ], ids=["float", "Fraction", "integral float", "bool", "str", "negative",
         "digit_count float", "digit_count Fraction",
         "digit_count integral float", "digit_count bool", "digit_count negative",
@@ -159,7 +165,8 @@ def test_step_sum_tally_refuses_a_negative_upper():
         "lookup bool", "attractor_index integral float",
         "extended_index_table bool", "extended_index_table Fraction",
         "smallest_runs float", "smallest_runs bool", "density float",
-        "density bool"])
+        "density bool", "step_sum_tally float", "step_sum_tally bool",
+        "happy_step_nat float", "happy_step_nat bool"])
 def test_non_int_values_are_refused(call, text):
     # An integer must be an int: a bool, though an int subclass, would
     # be read as 0 or 1, and an integral float or Fraction as its value.
