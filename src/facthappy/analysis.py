@@ -121,7 +121,7 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
         raise ValueError(f"{p} is not a fixed point for e={atlas.e}")
     hit = bytes([atlas.fixed_points.index(p)])  # they lead atlas.attractors
     table = atlas.extended_index_table(min(search_cap, _LOW))
-    starts: dict[int, int] = {}
+    records: list[RunRecord] = []
     best, n = 0, search_floor  # no run below n is longer than best
     while best < m_max:
         start = table.find(hit * (best + 1), n, search_cap + 1)
@@ -133,13 +133,11 @@ def smallest_runs(e: int, p: int, m_max: int, atlas: AttractorAtlas, *,
         if start < 0 or start + length == len(table) <= last:
             table = atlas.extended_index_table(search_cap)  # past its end
             continue
-        for m in range(best + 1, length + 1):
-            starts[m] = start
+        records += [RunRecord(e, p, m, start)
+                    for m in range(best + 1, length + 1)]
         best, n = length, start + length + 1  # a miss, or past last
-    records = tuple(RunRecord(e=e, p=p, m=m, start=starts[m])
-                    for m in sorted(starts))
     return RunSearch(e=e, p=p, search_floor=search_floor,
-                     search_cap=search_cap, records=records,
+                     search_cap=search_cap, records=tuple(records),
                      complete=best >= m_max)
 
 

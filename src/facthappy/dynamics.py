@@ -12,9 +12,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from math import factorial
 from operator import itemgetter
+from threading import Lock
 
 from .factoradic import (
     ComputationError, FactoradicRep, _need_ints, _split_digits, digit_count)
@@ -23,15 +24,23 @@ DEFAULT_ORBIT_CAP = 10_000
 # Most dictionary updates a step-sum tally may need, packed or not: it admits
 # density at e = 5 to 14! - 1 and e >= 6 to 13! - 1, and the atlas for e <= 8.
 DENSITY_WORK_LIMIT = 15 * 10 ** 6
-_LOW = 5040  # 7!: _low_sums tabulates step sums of the six lowest digits
-_LOW_SUMS_KEPT = 16  # exponents whose table _low_sums keeps, 41-426 KiB each
+_LOW = 5040  # 7!: _step_tables tabulates step sums of the six lowest digits
+# Exponents whose tables _step_tables keeps. By tracemalloc an entry takes
+# 44, 183 and 467 KiB at e = 2, 5 and 200 as built, and its powers add at
+# most 156, 171 and 1,248 KiB up to _POWERS_TOP: at most 16 x 1.7 MiB.
+_LOW_SUMS_KEPT = 16
 # happy_step_nat steps an n of up to this many bits by _high_sum and the
-# low-sum table: within 5% of the split digit sum at 640-832 bits, 5-15%
-# slower at 896-1,088.
+# low-sum table: 0.93-1.00 of the split digit sum's time at 672 bits,
+# 0.94-1.03 at 704, 1.08-1.19 at 832 and 1.26-1.36 at 1,088 (e = 2, 5).
 _TABLE_BITS = 672
+_TABLE_DIGITS = 121  # digits of 2^_TABLE_BITS - 1, the kept powers' first reach
+# Largest digit whose power is kept, as for digit texts: the CLI's largest
+# digit is 1,558 and 10^(10^4)'s 3,248.
+_POWERS_TOP = 4096
+_GROW = Lock()  # one grower at a time: the kept powers only ever grow
 # Largest exponent any step, bound or orbit accepts: at e = 200 the step
-# table holds 426 KiB and a default cap orbit of 2021 gives up after
-# 3-5 s, and both grow with e.
+# tables hold 467 KiB (1.7 MiB with every digit power) and a default cap
+# orbit of 2021 gives up after 3-5 s, and both grow with e.
 EXPONENT_LIMIT = 200
 
 
@@ -58,7 +67,7 @@ class SizeCapError(ComputationError):
 def happy_step(d: FactoradicRep, e: int) -> int:
     """Sum of e-th powers of the digits of d; the empty digit string gives 0."""
     _check_exponent(e)
-    return sum(map(pow, d.digits, repeat(e)))
+    return _power_sum(d.digits, e)
 
 
 def happy_step_nat(n: int, e: int) -> int:
@@ -66,14 +75,16 @@ def happy_step_nat(n: int, e: int) -> int:
 
     An n over _TABLE_BITS bits takes its digits from the split conversion;
     a smaller one, _high_sum(n // 7!) plus its cached low-sum table entry.
+    Both read each digit's power from the kept list of _step_tables.
     """
     _check_exponent(e)
     if type(n) is not int or n < 0:  # a bool or a float is refused too
         raise ValueError(f"expected a nonnegative integer, got {n!r}")
     if n.bit_length() > _TABLE_BITS:
-        return sum(map(pow, _split_digits(n), repeat(e)))
+        return _power_sum(_split_digits(n), e)
+    powers, low = _step_tables(e)
     q, r = divmod(n, _LOW)
-    return _high_sum(q, e) + _low_sums(e)[r]
+    return _high_sum(q, powers) + low[r]
 
 
 def iterate(n: int, e: int, count: int) -> int:
@@ -267,10 +278,10 @@ def _tally_dp(e: int, upper: int, one, copy, shift_add):
         raise ValueError(
             f"tallying the step sums up to upper={upper} at e={e} may take "
             f"over {DENSITY_WORK_LIMIT:,} dictionary updates")
+    powers = _step_tables(e)[0]  # the work limit keeps upper below 104 digits
     low = tally = one
     maximal = True
     for i, d in enumerate(digits, start=1):
-        powers = [a ** e for a in range(i + 1)]
         grown = copy(low)  # the digit a = 0 adds 0 ** e = 0
         for a in range(1, d):
             grown = shift_add(grown, low, powers[a])
@@ -325,24 +336,49 @@ def _packed_tally(e: int, upper: int) -> memoryview | list[int]:
 
 
 @lru_cache(maxsize=_LOW_SUMS_KEPT)
-def _low_sums(e: int) -> tuple[int, ...]:
-    """Step sums of [0, 7! - 1]; position i = 1..6 adds a ** e for its digit a.
+def _step_tables(e: int) -> tuple[list[int], tuple[int, ...]]:
+    """([a ** e for a = 0.._TABLE_DIGITS], the step sums of [0, 7! - 1]).
 
     Built once per exponent and kept for the process, up to
-    _LOW_SUMS_KEPT exponents, as a tuple every caller shares.
+    _LOW_SUMS_KEPT exponents, in one entry every caller shares. The
+    powers hold every digit of an n of up to _TABLE_BITS bits;
+    _power_sum grows them in place. Position i = 1..6 of a low sum adds
+    the power of its digit a <= i.
     """
+    powers = [a ** e for a in range(_TABLE_DIGITS + 1)]
     low = [0]
     for i in range(1, 7):
-        low = [s + p for p in [a ** e for a in range(i + 1)] for s in low]
-    return tuple(low)
+        low = [s + p for p in powers[:i + 1] for s in low]
+    return powers, tuple(low)
 
 
-def _high_sum(q: int, e: int) -> int:
-    """Sum of the e-th powers of the digits of q * 7! from the 7! place up."""
+def _power_sum(digits, e: int) -> int:
+    """Sum of the e-th powers of little-endian digits.
+
+    The digit at position i is at most i, so the kept powers, grown in
+    place to len(digits) but not past _POWERS_TOP, hold every digit up
+    to that position; a later one is raised by pow.
+    """
+    powers = _step_tables(e)[0]
+    top = min(len(digits), _POWERS_TOP)
+    if len(powers) <= top:
+        with _GROW:  # readers take no lock: they see the list or a longer one
+            powers.extend(a ** e for a in range(len(powers), top + 1))
+    if len(digits) < len(powers):
+        return sum(map(powers.__getitem__, digits))
+    return (sum(map(powers.__getitem__, islice(digits, _POWERS_TOP)))
+            + sum(map(pow, islice(digits, _POWERS_TOP, None), repeat(e))))
+
+
+def _high_sum(q: int, powers: list[int]) -> int:
+    """Sum of the kept powers of the digits of q * 7! from the 7! place up.
+
+    Each digit is in powers while q * 7! has at most _TABLE_BITS bits.
+    """
     s, radix = 0, 8
     while q:
         q, r = divmod(q, radix)
-        s += r ** e
+        s += powers[r]
         radix += 1
     return s
 
@@ -407,7 +443,8 @@ class AttractorAtlas:
         """
         if min(tally, default=1) < 1:
             raise ValueError("tally values must be positive integers")
-        e, index, low = self.e, self._index, _low_sums(self.e)
+        e, index = self.e, self._index
+        powers, low = _step_tables(e)
         totals = [0] * len(self.attractors)
         highs: dict[int, int] = {}
         for v, c in tally.items():
@@ -415,7 +452,9 @@ class AttractorAtlas:
                 q, r = divmod(v, _LOW)
                 high = highs.get(q)
                 if high is None:
-                    high = highs[q] = _high_sum(q, e)
+                    high = highs[q] = (_high_sum(q, powers)
+                                       if v.bit_length() <= _TABLE_BITS
+                                       else happy_step_nat(q * _LOW, e))
                 v = high + low[r]
             totals[a] += c
         return totals
@@ -443,13 +482,14 @@ class AttractorAtlas:
         kept = self._table
         if upper < len(kept):
             return kept
-        e, index, low = self.e, self._index, _low_sums(self.e)
+        index = self._index
+        powers, low = _step_tables(self.e)
         gather = itemgetter(*low)
         first = len(kept) // _LOW
         table = bytearray(kept[:max(1, first * _LOW)])
         append = table.append
         for q in range(first, upper // _LOW + 1):
-            base, high = q * _LOW, _high_sum(q, e)
+            base, high = q * _LOW, _high_sum(q, powers)
             end = min(_LOW, upper + 1 - base)
             if end == _LOW and high + low[-1] < base:  # images all earlier
                 table.extend(gather(table[high:high + low[-1] + 1]))
@@ -484,7 +524,7 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
     except ValueError as exc:
         raise ValueError(f"exponent {e}: the atlas is too large: {exc}") from None
     del index[0]
-    low = _low_sums(e)
+    powers, low = _step_tables(e)
     highs: dict[int, int] = {}  # 7!-block quotient -> its high sum
     steps: dict[int, int] = {}
     found: list[tuple[int, ...]] = []
@@ -501,7 +541,7 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
             q, r = divmod(v, _LOW)
             high = highs.get(q)
             if high is None:
-                high = highs[q] = _high_sum(q, e)
+                high = highs[q] = _high_sum(q, powers)
             v = high + low[r]
         if index[v] == -2 - n:
             k = path.index(v)

@@ -36,7 +36,7 @@ from facthappy.dynamics import (
     _high_sum,
     _packed_tally,
 )
-from facthappy.factoradic import digit_count, to_factoradic
+from facthappy.factoradic import FactoradicRep, digit_count, to_factoradic
 
 # Fixed points and cycles for each certified exponent, in canonical form.
 EXPECTED_ATLAS = {
@@ -141,9 +141,14 @@ def test_descent_tail_matches_definition(e):
 
 
 def test_exponent_limit():
+    # A refused exponent builds no table: every cache of dynamics, by
+    # whatever name, stays empty.
     assert smallest_j(EXPONENT_LIMIT) > EXPONENT_LIMIT
     assert descent_bound(EXPONENT_LIMIT).certificate_ok
-    dynamics._low_sums.cache_clear()
+    caches = [f for f in vars(dynamics).values() if hasattr(f, "cache_info")]
+    assert caches
+    for cache in caches:
+        cache.cache_clear()
     for call in (smallest_j, descent_bound, lambda e: classify(2021, e),
                  lambda e: happy_step_nat(2021, e),
                  lambda e: iterate(2021, e, 3),
@@ -154,7 +159,7 @@ def test_exponent_limit():
             with pytest.raises(ValueError, match=f"^exponent {e} is above "):
                 call(e)
             assert time.perf_counter() - started < 0.05
-    assert dynamics._low_sums.cache_info().currsize == 0
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
 
 
 
@@ -214,14 +219,82 @@ def test_negative_step_input_and_count_are_refused():
 
 
 def test_happy_step_nat_matches_loop_at_block_and_table_edges():
+    # Both steps against the definition at 7!-block edges, around
+    # _TABLE_BITS bits, at the largest k! - 1 below 2^_TABLE_BITS (every
+    # digit maximal), and at digit strings whose top digit sits at
+    # positions 4,096-4,098: the kept powers' last entry and the first
+    # two past it. From an empty cache, ascending (the powers grow a
+    # little at each longer n) and descending (they grow once, to the cap).
+    rng = random.Random(672)
     block = math.factorial(7)
     values = [k * block + d for k in (1, 2, 3) for d in (-1, 0, 1)]
     bits = dynamics._TABLE_BITS
-    values += [(1 << b) - 1 for b in (bits - 1, bits, bits + 1)]
-    values += [1 << (b - 1) for b in (bits - 1, bits, bits + 1)]
+    for b in (bits - 1, bits, bits + 1):
+        high = 1 << (b - 1)
+        values += [(1 << b) - 1, high, rng.getrandbits(b - 1) | high]
+    k = max(j for j in range(bits) if math.factorial(j) <= 1 << bits)
+    values.append(math.factorial(k) - 1)
+    for top in (4096, 4097, 4098):
+        values.append(loop_natural(tuple(range(1, top + 1))))
+        values.append(loop_natural(
+            tuple(rng.randint(0, i) for i in range(1, top)) + (top,)))
     for e in (1, 2, 5, 8, EXPONENT_LIMIT):
-        for n in values:
-            assert happy_step_nat(n, e) == loop_step(n, e)
+        expected = [loop_step(n, e) for n in values]
+        for order in (1, -1):
+            dynamics._step_tables.cache_clear()
+            for n, want in list(zip(values, expected))[::order]:
+                assert happy_step_nat(n, e) == want, (n.bit_length(), e)
+                assert happy_step(to_factoradic(n), e) == want
+            powers = dynamics._step_tables(e)[0]
+            assert powers == [a ** e for a in range(dynamics._POWERS_TOP + 1)]
+
+
+def test_kept_powers_start_at_the_table_digits_and_stop_at_the_cap():
+    dynamics._step_tables.cache_clear()
+    k = digit_count((1 << dynamics._TABLE_BITS) - 1)
+    assert len(dynamics._step_tables(5)[0]) == k + 1
+    happy_step_nat(math.factorial(201) - 1, 5)  # the digits 1..200
+    assert len(dynamics._step_tables(5)[0]) == 201
+    n = 10 ** 10 ** 5 - 1  # 25,205 digits
+    want = sum(a ** 5 for a in to_factoradic(n).digits)
+    assert happy_step_nat(n, 5) == want
+    assert len(dynamics._step_tables(5)[0]) == dynamics._POWERS_TOP + 1 <= 4097
+
+
+def test_kept_powers_grown_by_threads():
+    # Threads that each step a digit string longer than the one shared
+    # kept list grow it at once, with powers slow enough at e = 200 that
+    # the growths overlap; every step is right and the list holds each
+    # power once, in order.
+    e = EXPONENT_LIMIT
+    rng = random.Random(38)
+    reps = [FactoradicRep(tuple(rng.randint(0, i) for i in range(1, k)) + (k,))
+            for k in (130, 700, 2000, 4096, 4097, 5000)] * 2
+    expected = [sum(a ** e for a in d.digits) for d in reps]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            dynamics._step_tables.cache_clear()
+            happy_step_nat(1, e)  # the entry every thread reads
+            barrier = threading.Barrier(len(reps))
+            results = [None] * len(reps)
+
+            def step(i):
+                barrier.wait(timeout=30)
+                results[i] = happy_step(reps[i], e)
+
+            threads = [threading.Thread(target=step, args=(i,))
+                       for i in range(len(reps))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert results == expected
+            powers = dynamics._step_tables(e)[0]
+            assert powers == [a ** e for a in range(dynamics._POWERS_TOP + 1)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_descent_above_bound_randomized():
@@ -305,7 +378,8 @@ def test_lookup_above_memo_matches_oracle(e, atlas):
 def test_extended_index_table_matches_attractor_index(e, atlas):
     at = atlas(e)
     block = math.factorial(7)
-    assert dynamics._low_sums(e) == tuple(loop_step(n, e) for n in range(block))
+    low = dynamics._step_tables(e)[1]
+    assert low == tuple(loop_step(n, e) for n in range(block))
     uppers = {0, 1, 2}
     uppers.update(k * block + d for k in (1, 2, 3) for d in (-1, 0, 1))
     if e <= 6:
@@ -340,8 +414,9 @@ def test_high_sum_matches_definition():
         edge = math.factorial(k) // block
         qs.update((edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge))
     for e in range(1, 9):
+        powers = dynamics._step_tables(e)[0]
         for q in qs:
-            assert _high_sum(q, e) == loop_step(q * block, e), (q, e)
+            assert _high_sum(q, powers) == loop_step(q * block, e), (q, e)
 
 
 @pytest.mark.parametrize("e", range(1, 9))
@@ -349,9 +424,9 @@ def test_extended_index_table_one_pass_blocks(e, atlas):
     # From the first 7!-block whose largest image lies below its base, a
     # block is read from the earlier entries alone.
     at = atlas(e)
-    block, low = math.factorial(7), dynamics._low_sums(e)
+    block, (powers, low) = math.factorial(7), dynamics._step_tables(e)
     first = next(q * block for q in range(1, 10 ** 8 // block)
-                 if _high_sum(q, e) + low[-1] < q * block)
+                 if _high_sum(q, powers) + low[-1] < q * block)
     table = at.extended_index_table(first + 2 * block)
     for n in range(max(1, first - block), first + 2 * block + 1):
         assert table[n] == at.attractor_index(n)
@@ -371,8 +446,8 @@ def _gather_edges(e):
     """Uppers at and inside the 7!-blocks where the one-gather fill starts
     or stops at e (its largest image drops below the block's base, or
     rises past it again), up to block 72."""
-    block, low = math.factorial(7), dynamics._low_sums(e)
-    gathers = [_high_sum(q, e) + low[-1] < q * block for q in range(73)]
+    block, (powers, low) = math.factorial(7), dynamics._step_tables(e)
+    gathers = [_high_sum(q, powers) + low[-1] < q * block for q in range(73)]
     return [q * block + d for q in range(1, 73) if gathers[q] != gathers[q - 1]
             for d in (-1, 0, 1, block // 2, block - 2, block - 1)]
 
@@ -435,7 +510,7 @@ def test_covered_upper_builds_nothing(atlas, monkeypatch):
     calls = []
     high_sum = dynamics._high_sum
     monkeypatch.setattr(dynamics, "_high_sum",
-                        lambda q, e: calls.append(q) or high_sum(q, e))
+                        lambda q, powers: calls.append(q) or high_sum(q, powers))
     at = _fresh(atlas(4))
     at.extended_index_table(3 * math.factorial(7) - 1)
     assert calls == [0, 1, 2]
@@ -759,6 +834,22 @@ def test_density_path_at_each_digit_count(e, monkeypatch):
         path = "packed" if k >= first else "dict"
         for upper in (math.factorial(k), math.factorial(k + 1) - 1):
             assert _density_path(monkeypatch, e, upper) == path, (k, upper)
+
+
+@pytest.mark.parametrize("e", [2, 5])
+def test_totals_of_values_past_the_table_bits(e, atlas):
+    # A value over _TABLE_BITS bits has digits past the kept powers it
+    # started with: its block's high sum is a whole step of the block base.
+    at = atlas(e)
+    bits = dynamics._TABLE_BITS
+    values = [(1 << bits) - 1, 1 << bits, (1 << bits) + 7, 10 ** 300,
+              math.factorial(200) - 1, 5, 3 * 10 ** 4000]
+    tally = {v: i + 1 for i, v in enumerate(values)}
+    expected = [0] * len(at.attractors)
+    for v, c in tally.items():
+        expected[at.attractor_index(v)] += c
+    dynamics._step_tables.cache_clear()  # the powers to 121 only
+    assert at.totals(tally) == expected
 
 
 def test_slot_classification_matches_totals(atlas):
