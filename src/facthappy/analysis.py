@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .dynamics import (
     _LOW, Attractor, AttractorAtlas, _check_exponent, _packed_tally, classify,
-    happy_step_nat, step_sum_tally)
+    happy_step_nat)
 from .factoradic import _need_ints, digit_count
 
 if TYPE_CHECKING:
@@ -149,19 +149,21 @@ def density(e: int, upper: int, atlas: AttractorAtlas) -> DensityReport:
     _DENSE_RATIO * Catalan(k + 1)): one pass over the nonzero slots among
     _packed_tally's slots 1..top, each beside its entry of
     atlas.extended_index_table(top). Otherwise atlas.totals over the
-    keys of step_sum_tally. Either tally raises ValueError before any
-    work when it could exceed DENSITY_WORK_LIMIT dictionary updates.
+    keys of atlas.step_sum_tally, which starts from the free tallies the
+    atlas kept. Either tally raises ValueError before any work when it
+    could exceed DENSITY_WORK_LIMIT dictionary updates.
     """
     _need_ints(upper=upper)
     if upper < 1:
         raise ValueError(f"interval end must be positive, got {upper}")
     if atlas.e != e:
         raise ValueError(f"atlas is for exponent {atlas.e}, not {e}")
+    _check_exponent(e)  # 2.0 passes the atlas check; the dict tally reads atlas.e
     k = digit_count(upper)
     top = sum(i ** e for i in range(1, k + 1))
     if top <= atlas.memo_bound or \
             top + 1 > _DENSE_RATIO * comb(2 * k + 2, k + 1) // (k + 2):
-        tally = step_sum_tally(e, upper)
+        tally = atlas.step_sum_tally(upper)
         del tally[0]  # n = 0
         totals = atlas.totals(tally)
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, repeat
 from math import factorial
 from operator import itemgetter
@@ -37,7 +36,7 @@ _TABLE_DIGITS = 121  # digits of 2^_TABLE_BITS - 1, the kept powers' first reach
 # Largest digit whose power is kept, as for digit texts: the CLI's largest
 # digit is 1,558 and 10^(10^4)'s 3,248.
 _POWERS_TOP = 4096
-_GROW = Lock()  # one grower at a time: the kept powers only ever grow
+_LOCK = Lock()  # one builder or grower of the step tables at a time
 # Largest exponent any step, bound or orbit accepts: at e = 200 the step
 # tables hold 467 KiB (1.7 MiB with every digit power) and a default cap
 # orbit of 2021 gives up after 3-5 s, and both grow with e.
@@ -256,7 +255,7 @@ def _shift_into(dst: dict[int, int], src: dict[int, int], by: int) -> dict[int, 
     return dst
 
 
-def _tally_dp(e: int, upper: int, one, copy, shift_add):
+def _tally_dp(e: int, upper: int, one, copy, shift_add, lows=()):
     """The step-sum digit DP over the factoradic digits of upper.
 
     A tally counts digit strings by step sum: one tallies {0}, copy(t)
@@ -265,9 +264,12 @@ def _tally_dp(e: int, upper: int, one, copy, shift_add):
     digits free; tally the n in [0, upper mod i!]. Position i, where
     upper has digit d, extends both: an n whose digit there is a < d
     has a free lower part, one whose digit is d continues the old tally.
-    While every digit so far is maximal, tally is low. Over
-    DENSITY_WORK_LIMIT by _density_work, or given a non-int upper, it
-    raises ValueError first.
+    While every digit so far is maximal, tally is low. lows holds free
+    tallies already built, low_i = the tally of [0, (i+1)! - 1] at index
+    i - 1: a position it covers builds only its a < d part, and a result
+    that would be one of them is a copy. A list lows gains each low the
+    DP builds. Over DENSITY_WORK_LIMIT by _density_work, or given a
+    non-int upper, it raises ValueError first.
     """
     _check_exponent(e)
     _need_ints(upper=upper)
@@ -279,23 +281,36 @@ def _tally_dp(e: int, upper: int, one, copy, shift_add):
             f"tallying the step sums up to upper={upper} at e={e} may take "
             f"over {DENSITY_WORK_LIMIT:,} dictionary updates")
     powers = _step_tables(e)[0]  # the work limit keeps upper below 104 digits
+    keep = lows.append if type(lows) is list else None
     low = tally = one
     maximal = True
     for i, d in enumerate(digits, start=1):
+        maximal = maximal and d == i
+        if i <= len(lows):  # low_i is built: only the a < d part is left
+            if not maximal and d:
+                below = copy(low)
+                for a in range(1, d):
+                    below = shift_add(below, low, powers[a])
+                tally = shift_add(below, tally, powers[d])
+            low = lows[i - 1]
+            if maximal:
+                tally = low if i < len(digits) else copy(low)
+            continue
         grown = copy(low)  # the digit a = 0 adds 0 ** e = 0
         for a in range(1, d):
             grown = shift_add(grown, low, powers[a])
-        if maximal and d == i:
+        if maximal:
             low = tally = shift_add(grown, low, powers[i])
-            continue
-        maximal = False
-        if d:  # with d = 0 no a < d term: the tally carries over as it is
-            below = grown if i == len(digits) else copy(grown)
-            tally = shift_add(below, tally, powers[d])
-        if i < len(digits):
-            for a in range(max(d, 1), i + 1):
-                grown = shift_add(grown, low, powers[a])
-            low = grown
+        else:
+            if d:  # with d = 0 no a < d term: the tally carries over as it is
+                below = grown if i == len(digits) else copy(grown)
+                tally = shift_add(below, tally, powers[d])
+            if i < len(digits):
+                for a in range(max(d, 1), i + 1):
+                    grown = shift_add(grown, low, powers[a])
+                low = grown
+        if keep and i < len(digits):
+            keep(low)
     return tally
 
 
@@ -335,13 +350,10 @@ def _packed_tally(e: int, upper: int) -> memoryview | list[int]:
     return memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[wide])
 
 
-@lru_cache(maxsize=_LOW_SUMS_KEPT)
-def _step_tables(e: int) -> tuple[list[int], tuple[int, ...]]:
+def _build_step_tables(e: int) -> tuple[list[int], tuple[int, ...]]:
     """([a ** e for a = 0.._TABLE_DIGITS], the step sums of [0, 7! - 1]).
 
-    Built once per exponent and kept for the process, up to
-    _LOW_SUMS_KEPT exponents, in one entry every caller shares. The
-    powers hold every digit of an n of up to _TABLE_BITS bits;
+    The powers hold every digit of an n of up to _TABLE_BITS bits;
     _power_sum grows them in place. Position i = 1..6 of a low sum adds
     the power of its digit a <= i.
     """
@@ -350,6 +362,29 @@ def _step_tables(e: int) -> tuple[list[int], tuple[int, ...]]:
     for i in range(1, 7):
         low = [s + p for p in powers[:i + 1] for s in low]
     return powers, tuple(low)
+
+
+class _StepTables(dict):
+    """Exponent -> _build_step_tables(e), built once and kept for the process.
+
+    A hit is a C-level dict read. A miss builds under _LOCK and checks
+    again first, so threads that miss together share one entry and one
+    powers list. Past _LOW_SUMS_KEPT exponents the oldest-built goes.
+    """
+
+    def __missing__(self, e: int) -> tuple[list[int], tuple[int, ...]]:
+        with _LOCK:
+            tables = self.get(e)
+            if tables is None:
+                tables = _build_step_tables(e)
+                if len(self) >= _LOW_SUMS_KEPT:
+                    del self[next(iter(self))]
+                self[e] = tables
+        return tables
+
+
+_STEP_TABLES = _StepTables()
+_step_tables = _STEP_TABLES.__getitem__
 
 
 def _power_sum(digits, e: int) -> int:
@@ -362,7 +397,7 @@ def _power_sum(digits, e: int) -> int:
     powers = _step_tables(e)[0]
     top = min(len(digits), _POWERS_TOP)
     if len(powers) <= top:
-        with _GROW:  # readers take no lock: they see the list or a longer one
+        with _LOCK:  # readers take no lock: they see the list or a longer one
             powers.extend(a ** e for a in range(len(powers), top + 1))
     if len(digits) < len(powers):
         return sum(map(powers.__getitem__, digits))
@@ -393,12 +428,15 @@ class AttractorAtlas:
     other value steps until it meets Im. The classification never
     changes. The index table of extended_index_table is immutable bytes,
     replaced whole when it grows, so a reader keeps the table it was
-    handed and never sees a half-built one.
+    handed and never sees a half-built one. lows, the free tallies of
+    the build's step-sum DP (see step_sum_tally), is a tuple no call
+    writes to.
     """
 
     def __init__(self, e: int, bound: int, memo_bound: int,
                  attractors: tuple[Attractor, ...],
-                 index: dict[int, int], steps: dict[int, int]):
+                 index: dict[int, int], steps: dict[int, int],
+                 lows: tuple[dict[int, int], ...] = ()):
         self.e = e
         self.bound = bound
         self.memo_bound = memo_bound
@@ -409,6 +447,7 @@ class AttractorAtlas:
         self._index = index
         self._steps = steps
         self._table = bytes(1)  # extended_index_table's; entry 0 is unused
+        self._lows = lows
 
     def _resolve(self, n: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[int, int]:
         """(attractor index, steps to reach it) for any n >= 1."""
@@ -433,6 +472,14 @@ class AttractorAtlas:
         _need_ints(n=n)
         index, steps = self._resolve(n)
         return self.attractors[index], steps
+
+    def step_sum_tally(self, upper: int) -> dict[int, int]:
+        """step_sum_tally(e, upper), its free tallies read from the kept ones.
+
+        low_i, the tally of [0, (i+1)! - 1], is kept for each i below the
+        digit count of memo_bound, so its keys lie in Im and 0.
+        """
+        return _tally_dp(self.e, upper, {0: 1}, dict, _shift_into, self._lows)
 
     def totals(self, tally: dict[int, int]) -> list[int]:
         """Summed counts per attractor index of a {value >= 1: count} tally.
@@ -510,7 +557,8 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
     smallest member. Refuses an exponent whose certificate failed. Im
     is the key set of step_sum_tally(e, memo_bound) without 0, so e over
     EXPONENT_LIMIT, or e >= 9, whose tally is over DENSITY_WORK_LIMIT,
-    raises ValueError before any work.
+    raises ValueError before any work. The atlas keeps the free tallies
+    that DP built on the way.
     """
     bound = descent_bound(e)
     if not bound.certificate_ok:
@@ -519,8 +567,10 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
             + ", ".join(bound.failed_checks))
     m = bound.bound
     memo_bound = step_image_bound(e, m)
+    lows: list[dict[int, int]] = []
     try:
-        index = dict.fromkeys(step_sum_tally(e, memo_bound), -1)
+        index = dict.fromkeys(
+            _tally_dp(e, memo_bound, {0: 1}, dict, _shift_into, lows), -1)
     except ValueError as exc:
         raise ValueError(f"exponent {e}: the atlas is too large: {exc}") from None
     del index[0]
@@ -560,7 +610,8 @@ def enumerate_attractors(e: int) -> AttractorAtlas:
     remap = [attractors.index(att) for att in canon]
     for v, a in index.items():
         index[v] = remap[a]
-    return AttractorAtlas(e, m, memo_bound, attractors, index, steps)
+    return AttractorAtlas(e, m, memo_bound, attractors, index, steps,
+                          tuple(lows))
 
 
 def classify(n: int, e: int, atlas: AttractorAtlas | None = None, *,

@@ -222,11 +222,10 @@ def _density_path(monkeypatch, e, upper):
     calls = []
     monkeypatch.setattr(analysis, "_packed_tally",
                         lambda *args: calls.append("packed") or [1])
-    monkeypatch.setattr(analysis, "step_sum_tally",
-                        lambda *args: calls.append("dict") or {0: 1})
     stub = SimpleNamespace(
         e=e, attractors=(),
         memo_bound=step_image_bound(e, descent_bound(e).bound),
+        step_sum_tally=lambda upper: calls.append("dict") or {0: 1},
         extended_index_table=lambda top: calls.append("table") or bytes(1),
         totals=lambda tally: calls.append("totals") or [])
     assert analysis.density(e, upper, stub).counts == {}

@@ -385,6 +385,22 @@ def test_density_matches_walk_property(atlas, e, upper):
         walk_tally(e, 1, upper, at)
 
 
+@pytest.mark.parametrize("e", range(2, 7))
+def test_density_leaves_the_kept_free_tallies_as_built(e):
+    # At (j+1)! - 1 with j up to the kept count, every digit is maximal
+    # and the tally is a kept one: density gets a copy, so its deletion
+    # of n = 0 leaves the kept tally whole for every later call.
+    shared = enumerate_attractors(e)
+    kept = len(shared._lows)
+    rng = random.Random(39 + e)
+    uppers = [factorial(j + 1) - 1 for j in range(1, kept + 1)]
+    uppers += [factorial(10) - 1] + [rng.randrange(1, 10 ** 7) for _ in range(4)]
+    for upper in uppers:
+        fresh = enumerate_attractors(e)
+        assert density(e, upper, shared) == density(e, upper, fresh), upper
+    assert shared._lows == enumerate_attractors(e)._lows
+
+
 @pytest.mark.parametrize("e", range(1, 7))
 def test_density_matches_scan_at_factorials(atlas, e):
     # k! starts a new top digit; k! - 1 has every digit at its maximum

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import re
 import sys
@@ -141,14 +142,14 @@ def test_descent_tail_matches_definition(e):
 
 
 def test_exponent_limit():
-    # A refused exponent builds no table: every cache of dynamics, by
-    # whatever name, stays empty.
+    # A refused exponent builds no table: the step tables and every
+    # lru_cache of dynamics, by whatever name, stay empty.
     assert smallest_j(EXPONENT_LIMIT) > EXPONENT_LIMIT
     assert descent_bound(EXPONENT_LIMIT).certificate_ok
     caches = [f for f in vars(dynamics).values() if hasattr(f, "cache_info")]
-    assert caches
     for cache in caches:
         cache.cache_clear()
+    dynamics._STEP_TABLES.clear()
     for call in (smallest_j, descent_bound, lambda e: classify(2021, e),
                  lambda e: happy_step_nat(2021, e),
                  lambda e: iterate(2021, e, 3),
@@ -160,6 +161,7 @@ def test_exponent_limit():
                 call(e)
             assert time.perf_counter() - started < 0.05
     assert all(cache.cache_info().currsize == 0 for cache in caches)
+    assert not dynamics._STEP_TABLES
 
 
 
@@ -241,7 +243,7 @@ def test_happy_step_nat_matches_loop_at_block_and_table_edges():
     for e in (1, 2, 5, 8, EXPONENT_LIMIT):
         expected = [loop_step(n, e) for n in values]
         for order in (1, -1):
-            dynamics._step_tables.cache_clear()
+            dynamics._STEP_TABLES.clear()
             for n, want in list(zip(values, expected))[::order]:
                 assert happy_step_nat(n, e) == want, (n.bit_length(), e)
                 assert happy_step(to_factoradic(n), e) == want
@@ -250,7 +252,7 @@ def test_happy_step_nat_matches_loop_at_block_and_table_edges():
 
 
 def test_kept_powers_start_at_the_table_digits_and_stop_at_the_cap():
-    dynamics._step_tables.cache_clear()
+    dynamics._STEP_TABLES.clear()
     k = digit_count((1 << dynamics._TABLE_BITS) - 1)
     assert len(dynamics._step_tables(5)[0]) == k + 1
     happy_step_nat(math.factorial(201) - 1, 5)  # the digits 1..200
@@ -275,7 +277,7 @@ def test_kept_powers_grown_by_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            dynamics._step_tables.cache_clear()
+            dynamics._STEP_TABLES.clear()
             happy_step_nat(1, e)  # the entry every thread reads
             barrier = threading.Barrier(len(reps))
             results = [None] * len(reps)
@@ -293,6 +295,52 @@ def test_kept_powers_grown_by_threads():
             assert results == expected
             powers = dynamics._step_tables(e)[0]
             assert powers == [a ** e for a in range(dynamics._POWERS_TOP + 1)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_step_tables_built_once_by_racing_first_calls(monkeypatch):
+    # More threads than cores make their first call at one exponent at
+    # once, from a cold cache: one build, and every thread gets the one
+    # kept entry, so all step with the same powers list.
+    e = EXPONENT_LIMIT
+    builds = []
+    build = dynamics._build_step_tables
+
+    def counted(e):
+        builds.append(e)
+        return build(e)
+
+    monkeypatch.setattr(dynamics, "_build_step_tables", counted)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    count = min(2 * cores + 2, 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            dynamics._STEP_TABLES.clear()
+            builds.clear()
+            barrier = threading.Barrier(count)
+            tables = [None] * count
+            steps = [None] * count
+
+            def first_call(i):
+                barrier.wait(timeout=30)
+                tables[i] = dynamics._step_tables(e)
+                steps[i] = happy_step_nat(2021, e)
+
+            threads = [threading.Thread(target=first_call, args=(i,))
+                       for i in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert builds == [e]
+            kept = dynamics._step_tables(e)
+            assert all(t is kept for t in tables)
+            assert steps == [loop_step(2021, e)] * count
     finally:
         sys.setswitchinterval(interval)
 
@@ -723,6 +771,47 @@ def test_step_sum_tally_on_maximal_prefixes(e):
             list(_shift_every_digit_tally(e, upper).items())
 
 
+def test_atlas_keeps_the_free_tallies_of_its_build(atlas):
+    # low_i, the tally of [0, (i+1)! - 1], for each i below the digit
+    # count of memo_bound: its keys lie in Im and 0.
+    for e in range(1, 9):
+        at = atlas(e)
+        assert type(at._lows) is tuple
+        assert len(at._lows) == digit_count(at.memo_bound) - 1
+        for i, low in enumerate(at._lows, start=1):
+            assert low == step_sum_tally(e, math.factorial(i + 1) - 1)
+            assert low.keys() <= at._index.keys() | {0}
+
+
+@settings(deadline=None, max_examples=60)
+@given(e=st.integers(1, 6), upper=st.integers(0, math.factorial(12) - 1))
+@example(e=6, upper=math.factorial(10) - 1)
+@example(e=6, upper=2_691_830)
+@example(e=6, upper=math.factorial(9) - 1)
+@example(e=5, upper=math.factorial(12) - 1)
+def test_tally_from_kept_lows_matches_a_fresh_tally(atlas, e, upper):
+    # With the kept list and without it, the same counts in the same order.
+    assert list(atlas(e).step_sum_tally(upper).items()) == \
+        list(step_sum_tally(e, upper).items())
+
+
+@pytest.mark.parametrize("upper", [math.factorial(11) - 1,
+                                   2 * math.factorial(10) + 17])
+def test_tally_from_kept_lows_matches_a_fresh_tally_at_e7(atlas, upper):
+    assert list(atlas(7).step_sum_tally(upper).items()) == \
+        list(step_sum_tally(7, upper).items())
+
+
+def test_atlas_without_kept_lows_builds_them():
+    # An atlas built from six arguments keeps no tallies and builds all.
+    at = enumerate_attractors(4)
+    bare = _fresh(at)
+    assert bare._lows == ()
+    for upper in (0, 1, 23, 2021, math.factorial(8) - 1, 10 ** 6):
+        assert bare.step_sum_tally(upper) == at.step_sum_tally(upper) == \
+            step_sum_tally(4, upper)
+
+
 def _packed_dict(e, upper):
     """The packed slots as a {step sum: count} dict of the nonzero ones.
 
@@ -848,7 +937,7 @@ def test_totals_of_values_past_the_table_bits(e, atlas):
     expected = [0] * len(at.attractors)
     for v, c in tally.items():
         expected[at.attractor_index(v)] += c
-    dynamics._step_tables.cache_clear()  # the powers to 121 only
+    dynamics._STEP_TABLES.clear()  # the powers to 121 only
     assert at.totals(tally) == expected
 
 
