@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error or a reader that closed stdout
 early, 2 computation failure (orbit or search cap exceeded, failed
 certificate, failed witness).
+
+`main(argv)` returns the exit code; `run()`, the process entry, ends
+the process with it.
 """
 
 from __future__ import annotations
@@ -269,8 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # here, so the flush at exit cannot raise
         return code
     except BrokenPipeError:
-        # The reader is gone: send what is still buffered to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _reader_gone(sys.stdout)
         return 1
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -280,5 +282,30 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _reader_gone(stream) -> None:
+    """Send what stream still buffers to devnull: its reader has gone."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def run() -> None:
+    """Run main on sys.argv, flush, and end by os._exit, skipping teardown.
+
+    With a trace, profile or monitoring hook set it raises SystemExit
+    instead, so the hook's owner (coverage, cProfile) can finish.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:  # buffered --help text meets a closed reader here
+            stream.flush()
+        except BrokenPipeError:
+            _reader_gone(stream)
+            code = 1
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's from 3.12
+    if (sys.gettrace() or sys.getprofile()
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

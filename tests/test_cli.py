@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -345,33 +347,95 @@ def test_negative_and_below_floor_caps_refused(capsys):
     assert (code, out) == (0, "e: 2\np: 1\nfloor: 1\nm=1: start 1\n")
 
 
+def _child_env(unbuffered=""):
+    """os.environ with PYTHONPATH=src, PYTHONUNBUFFERED set only if given."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["COLUMNS"] = "80"  # argparse wraps --help to the terminal's width
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
 def test_oversized_exponent_refused_in_subprocess():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
     for e in ("9", "1000000"):
         proc = subprocess.run(
             [sys.executable, "-m", "facthappy.cli", "density", "--e", e,
-             "--upper", "5"], env=env, capture_output=True, text=True,
-            timeout=30)
+             "--upper", "5"], env=_child_env(), capture_output=True,
+            text=True, timeout=30)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert f"exponent {e}" in proc.stderr
 
 
+def _into_closed_reader(argv, env):
+    """Exit code and stderr of a child whose stdout reader has gone."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "facthappy.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # The read end is closed before the child writes, so its first write
-    # or the flush in main meets a broken pipe.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    # or the flush in main meets a broken pipe; buffered --help text
+    # meets it at the flush in cli.run.
     for argv in (("convert", "2020"),
                  ("runs", "--e", "4", "--max-m", "600", "--cap", "10000"),
-                 ("build", "--e", "2", "--p", "1", "--m", "3000")):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "facthappy.cli", *argv], env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert (proc.wait(timeout=60), err) == (1, "")
+                 ("build", "--e", "2", "--p", "1", "--m", "3000"),
+                 ("--help",), ("density", "--help")):
+        assert _into_closed_reader(argv, _child_env()) == (1, ""), argv
+
+
+def test_unbuffered_help_into_closed_reader_exits_zero():
+    # Unbuffered, argparse writes --help straight to the pipe and drops
+    # the write error itself, so nothing is left for cli.run to flush.
+    for argv in (("--help",), ("density", "--help")):
+        assert _into_closed_reader(argv, _child_env("1")) == (0, ""), argv
+
+
+def _corpus_sample():
+    """The README's first lines, and each entry that fails or is hashed."""
+    corpus = json.loads((Path(__file__).with_name("golden")
+                         / "cli.json").read_text())
+    return corpus[:4] + [entry for entry in corpus
+                         if entry["code"] or "stdout_sha256" in entry]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+def test_process_entry_matches_cli_corpus(unbuffered, capsys, monkeypatch):
+    sample = _corpus_sample()
+    assert {entry["code"] for entry in sample} == {0, 1, 2}
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, "--help")
+    sample.append({"argv": ["--help"], "code": code, "stdout": out,
+                   "stderr": err})
+    for entry in sample:
+        proc = subprocess.run(
+            [sys.executable, "-m", "facthappy.cli", *entry["argv"]],
+            env=_child_env(unbuffered), capture_output=True, timeout=60)
+        got = {"argv": entry["argv"], "code": proc.returncode,
+               "stderr": proc.stderr.decode()}
+        if "stdout_sha256" in entry:
+            got["stdout_sha256"] = hashlib.sha256(proc.stdout).hexdigest()
+        else:
+            got["stdout"] = proc.stdout.decode()
+        assert got == entry, entry["argv"]
+
+
+def test_process_entry_under_cprofile_keeps_the_profile():
+    # A profiler (sys.setprofile, or sys.monitoring from 3.12 on) makes
+    # cli.run raise SystemExit, so cProfile still prints its table.
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "facthappy.cli", "convert",
+         "2020"], env=_child_env(), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "2.4.4.0.2.0!\n" in proc.stdout
+    assert " function calls " in proc.stdout
 
 
 def test_build_run_length_limit(capsys):
