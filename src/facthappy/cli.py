@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage error or a reader that closed stdout
 early, 2 computation failure (orbit or search cap exceeded, failed
 certificate, failed witness).
 
-`main(argv)` returns the exit code; `run()`, the process entry, ends
-the process with it.
+`main(argv)` maps every outcome to its exit code and flushes stdout
+once; `run()`, the process entry, only ends the process with that code.
 """
 
 from __future__ import annotations
@@ -40,10 +40,12 @@ def _over_limit(what: str, digits: int) -> str:
 
 
 def integer(text: str) -> int:
-    """argparse type: an int of at most factoradic.DIGIT_LIMIT digits."""
-    digits = len(text.strip().lstrip("+-"))
-    if digits > factoradic.DIGIT_LIMIT:
-        raise argparse.ArgumentTypeError(_over_limit("the value", digits))
+    """argparse type: a sign and up to factoradic.DIGIT_LIMIT ASCII digits."""
+    digits = text.strip().lstrip("+-")
+    if len(digits) > factoradic.DIGIT_LIMIT:
+        raise argparse.ArgumentTypeError(_over_limit("the value", len(digits)))
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)  # int() would read '٣' and '1_000' too
     return int(text)
 
 
@@ -225,9 +227,9 @@ def _cmd_runs(args) -> int:
         if not search.complete:
             print(f"m={len(search.records) + 1}: not found below {search.search_cap}")
     if not search.complete:
-        print(f"error: search cap {search.search_cap} reached before all "
-              f"lengths were resolved", file=sys.stderr)
-        return 2
+        raise factoradic.ComputationError(
+            f"search cap {search.search_cap} reached before all lengths "
+            f"were resolved")
     return 0
 
 
@@ -259,47 +261,31 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return exc.code or 0
-    try:
-        code = _DISPATCH[args.command](args)
-        sys.stdout.flush()  # here, so the flush at exit cannot raise
+        try:
+            args = build_parser().parse_args(argv)
+            code = _DISPATCH[args.command](args)
+        except SystemExit as exc:  # --help
+            code = exc.code or 0
+        except (UsageError, ValueError, factoradic.ComputationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2 if isinstance(exc, factoradic.ComputationError) else 1
+        sys.stdout.flush()  # here, so no flush after main can raise
         return code
-    except BrokenPipeError:
-        _reader_gone(sys.stdout)
+    except BrokenPipeError:  # the reader has gone: drop what is buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except factoradic.ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _reader_gone(stream) -> None:
-    """Send what stream still buffers to devnull: its reader has gone."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def run() -> None:
-    """Run main on sys.argv, flush, and end by os._exit, skipping teardown.
+    """Run main on sys.argv and end by os._exit, skipping teardown.
 
     With a trace, profile or monitoring hook set it raises SystemExit
     instead, so the hook's owner (coverage, cProfile) can finish.
     """
     code = main()
-    for stream in (sys.stdout, sys.stderr):
-        try:  # buffered --help text meets a closed reader here
-            stream.flush()
-        except BrokenPipeError:
-            _reader_gone(stream)
-            code = 1
     monitoring = getattr(sys, "monitoring", None)  # cProfile's from 3.12
     if (sys.gettrace() or sys.getprofile()
             or monitoring and any(map(monitoring.get_tool, range(6)))):

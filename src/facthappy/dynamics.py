@@ -491,7 +491,7 @@ class AttractorAtlas:
         if min(tally, default=1) < 1:
             raise ValueError("tally values must be positive integers")
         e, index = self.e, self._index
-        powers, low = _step_tables(e)
+        low = _step_tables(e)[1]
         totals = [0] * len(self.attractors)
         highs: dict[int, int] = {}
         for v, c in tally.items():
@@ -499,9 +499,7 @@ class AttractorAtlas:
                 q, r = divmod(v, _LOW)
                 high = highs.get(q)
                 if high is None:
-                    high = highs[q] = (_high_sum(q, powers)
-                                       if v.bit_length() <= _TABLE_BITS
-                                       else happy_step_nat(q * _LOW, e))
+                    high = highs[q] = happy_step_nat(q * _LOW, e)
                 v = high + low[r]
             totals[a] += c
         return totals

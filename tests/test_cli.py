@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -378,20 +379,41 @@ def _into_closed_reader(argv, env):
     return proc.wait(timeout=60), err
 
 
+_RUNS_AT_CAP = ("runs", "--e", "2", "--max-m", "15", "--cap", "1000")
+_RUNS_AT_CAP_ERROR = ("error: search cap 1000 reached before all lengths "
+                      "were resolved\n")
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # The read end is closed before the child writes, so its first write
-    # or the flush in main meets a broken pipe; buffered --help text
-    # meets it at the flush in cli.run.
-    for argv in (("convert", "2020"),
-                 ("runs", "--e", "4", "--max-m", "600", "--cap", "10000"),
-                 ("build", "--e", "2", "--p", "1", "--m", "3000"),
-                 ("--help",), ("density", "--help")):
-        assert _into_closed_reader(argv, _child_env()) == (1, ""), argv
+    # or the one flush in cli.main meets a broken pipe, buffered --help
+    # text and the records of a search that stops at its cap included.
+    for argv, err in ((("convert", "2020"), ""),
+                      (("runs", "--e", "4", "--max-m", "600", "--cap",
+                        "10000"), ""),
+                      (("build", "--e", "2", "--p", "1", "--m", "3000"), ""),
+                      (("--help",), ""), (("density", "--help"), ""),
+                      (_RUNS_AT_CAP, _RUNS_AT_CAP_ERROR)):
+        assert _into_closed_reader(argv, _child_env()) == (1, err), argv
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--help",), ""), (("convert", "2020"), ""),
+    (_RUNS_AT_CAP, _RUNS_AT_CAP_ERROR)], ids=["help", "convert", "runs"])
+def test_main_into_closed_reader_returns_one(argv, err, capsys, monkeypatch):
+    # In-process, too, buffered stdout meets the closed pipe at main's
+    # flush, --help text included.
+    read, write = os.pipe()
+    os.close(read)
+    with io.TextIOWrapper(io.FileIO(write, "w")) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(list(argv)) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_unbuffered_help_into_closed_reader_exits_zero():
     # Unbuffered, argparse writes --help straight to the pipe and drops
-    # the write error itself, so nothing is left for cli.run to flush.
+    # the write error itself, so nothing is left for cli.main to flush.
     for argv in (("--help",), ("density", "--help")):
         assert _into_closed_reader(argv, _child_env("1")) == (0, ""), argv
 
@@ -494,6 +516,25 @@ def test_convert_refuses_non_ascii_digits(capsys):
         assert (code, out) == (1, "")
         assert err == f"error: bad digit token {token!r} at position {pos}\n"
     assert run_cli(capsys, "convert", "--digits", "3.1.0!")[:2] == (0, "20\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("convert", "٣"), ("convert", "１２"), ("convert", "²"),
+    ("convert", "1_000"), ("convert", "+-5"), ("convert", ""),
+    ("orbit", "2021", "--e", "٢"), ("density", "--e", "5", "--upper", "1_0_0")])
+def test_integer_arguments_are_a_sign_and_ascii_digits(argv, capsys):
+    # int() reads '٣' as 3 and '1_000' as 1000; both are refused as
+    # '1.5' is.
+    name = "n" if argv[0] == "convert" else argv[-2]
+    assert run_cli(capsys, *argv) == (
+        1, "", f"error: argument {name}: invalid integer value: "
+        f"{argv[-1]!r}\n")
+
+
+def test_integer_arguments_keep_sign_and_whitespace(capsys):
+    for text in ("12", "+12", " 12\n", "0012"):
+        assert run_cli(capsys, "convert", text) == (0, "2.0.0!\n", "")
+    assert run_cli(capsys, "convert", "--", "-0") == (0, "0!\n", "")
 
 
 def test_convert_at_digit_limit_is_byte_identical(capsys):

@@ -3,8 +3,9 @@
 The corpus in golden/density.json holds text, csv and json `density`
 output for e = 1..8 at several uppers, and the refusal of the least
 k! - 1 over the work limit for each e. The corpus in golden/cli.json
-holds every command line of the README, three calls that exit 1 (two
-of them malformed digit text) and two that exit 2, then the
+holds every command line of the README, five calls that exit 1 (two
+of them malformed digit text, two malformed integers) and three that
+exit 2 (one after its stdout), then the
 cli-workload calls of perfbench seed 1; stdout longer than _HASHED
 characters is kept as its sha256. A change that alters output on
 purpose rewrites the corpora and names the entries it changed. To rewrite them:
@@ -39,10 +40,14 @@ _REFUSED_K = {1: 105, 2: 48, 3: 28, 4: 19, 5: 15, 6: 14, 7: 14, 8: 14}
 _HASHED = 500
 # An atlas over the work limit (exit 1), an orbit cap reached and a
 # failed witness (exit 2), a digit over its position and a token with a
-# leading zero (exit 1).
+# leading zero (exit 1), integers in non-ASCII digits and with
+# underscores (exit 1), and a search cap reached after twelve records
+# are printed (exit 2).
 _FAILING = [("attractors", "--e", "9"), ("orbit", "2021", "--e", "2", "--cap", "2"),
             ("nice", "--e", "2", "--p", "1", "--l", "0"),
-            ("convert", "--digits", "1.2.3!"), ("convert", "--digits", "3.05.1.0!")]
+            ("convert", "--digits", "1.2.3!"), ("convert", "--digits", "3.05.1.0!"),
+            ("convert", "٣"), ("density", "--e", "5", "--upper", "1_000"),
+            ("runs", "--e", "2", "--max-m", "15", "--cap", "1000")]
 # The 39 calls of perfbench's cli workload at seed 1, in its order; each
 # exits 0.
 _WORKLOAD = [tuple(line.split()) for line in """\
@@ -146,7 +151,7 @@ def test_cli_corpus_covers_the_readme():
     readme = len(corpus) - len(_FAILING) - len(_WORKLOAD)
     assert readme > 0
     codes = [entry["code"] for entry in corpus]
-    assert codes[readme:readme + len(_FAILING)] == [1, 2, 2, 1, 1]
+    assert codes[readme:readme + len(_FAILING)] == [1, 2, 2, 1, 1, 1, 1, 2]
     assert set(codes[:readme] + codes[readme + len(_FAILING):]) == {0}
 
 
